@@ -9,7 +9,7 @@ BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid
 # Fuzz targets of the correctness harness (DESIGN.md §11); FUZZTIME bounds
 # each target's smoke budget.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest
+FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest FuzzDecode:./internal/netx
 
 .PHONY: all build test vet staticcheck race race-stress smoke bench-smoke simtest fuzz-smoke cluster-smoke check bench figures
 
@@ -50,10 +50,13 @@ simtest:
 
 # Saturated 64-site run through the sharded parallel core under the race
 # detector, with the Group's 10s deadlock watchdog armed: any data race or
-# synchronization hang in the shard workers fails loudly here.
+# synchronization hang in the shard workers fails loudly here. The
+# wire-codec differential runs the sharded engine with every message
+# encoded and decoded by the live adapter on the shard workers.
 race-stress:
 	$(GO) test -race -count=1 -run 'TestParallelRaceStress|TestParallelSequentialDifferential' ./internal/simtest/
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/hybrid/
+	$(GO) test -race -count=1 -run 'TestWireCodecDifferential' ./internal/netx/
 
 # Short native-fuzzing pass over every fuzz target. Each target gets
 # FUZZTIME of mutation on top of replaying the committed corpus; a crasher

@@ -1,21 +1,22 @@
-// Package cluster is the live implementation of the hybrid transaction
-// core: the same classify → route → lock → execute → commit → propagate
-// state machine the simulator runs (internal/hybrid), executed by real
-// processes over real TCP (DESIGN.md §13).
+// Package cluster runs the hybrid transaction core as real processes over
+// real TCP (DESIGN.md §13) — the second executor of the one protocol
+// implementation in internal/hybrid. The simulator runs every partition of
+// the core on one event queue (or a few shards); here each node — a local
+// site or the central complex — runs exactly one partition
+// (hybrid.NewSiteNode / hybrid.NewCentralNode) on its own exec.Loop, the
+// wall-clock twin of a simulator shard. The route, execute, authenticate,
+// commit and propagate handlers that run are the simulator's own; this
+// package is process plumbing around them: listeners and reconnecting
+// uplinks, the netx adapter that encodes the core's typed messages as
+// frames and validates every inbound frame before the core sees it,
+// receiver-side emulation of the link delay, the metrics registry and span
+// trace fed by a bus observer, and the load generator.
 //
-// Each node — a local site or the central complex — owns an exec.Loop, the
-// wall-clock twin of a simulator shard: network receive goroutines decode
-// frames and post handlers onto the loop, which runs them one at a time, so
-// the lock tables, CPU queues, and per-transaction state need no locking,
-// exactly as in the simulation. The substrates are shared with the
-// simulator, not reimplemented: internal/lock for two-phase locking with
-// seizure and coherence counts, internal/cpu for the FCFS processors (whose
-// service completions are real timers here instead of virtual events),
-// internal/routing for the ship-vs-local strategies, and internal/workload
-// for transaction generation.
-//
-// The cluster runs in emulation mode: CPU bursts and I/O hold the real
-// timers of their configured durations, and the configured one-way
+// Network receive goroutines decode frames and post handlers onto the
+// loop, which runs them one at a time, so the partition's lock table, CPU
+// queue and per-transaction state need no locking, exactly as in the
+// simulation. The cluster runs in emulation mode: CPU bursts and I/O hold
+// real timers of their configured durations, and the configured one-way
 // communication delay is emulated at the receiver of every inter-tier
 // message (the sender's TCP latency rides inside it). That makes a loopback
 // cluster's measured response times directly comparable to the simulator's
@@ -26,8 +27,6 @@ package cluster
 import (
 	"fmt"
 
-	"hybriddb/internal/cpu"
-	"hybriddb/internal/exec"
 	"hybriddb/internal/hybrid"
 )
 
@@ -42,47 +41,8 @@ func validate(cfg hybrid.Config) error {
 	if cfg.Feedback == hybrid.FeedbackIdeal {
 		return fmt.Errorf("cluster: ideal feedback requires synchronously readable remote state; a live cluster cannot provide it")
 	}
-	if cfg.UpdateBatchWindow > 0 {
-		return fmt.Errorf("cluster: update batching not implemented in the live engine")
-	}
 	if cfg.EpochLength > 0 {
-		return fmt.Errorf("cluster: epoch-batched propagation not implemented in the live engine")
+		return fmt.Errorf("cluster: epoch-batched propagation needs a global epoch clock across sites; a live cluster has none")
 	}
 	return nil
 }
-
-// ioDelay performs one emulated I/O keyed to elem: a pure timer under the
-// paper's assumption, or an FCFS wait at the disk holding the element when
-// a disk bank is configured — the live twin of the simulator's scheduleIO.
-func ioDelay(loop *exec.Loop, disks []*cpu.Server, elem uint32, seconds float64, done func()) {
-	if len(disks) == 0 {
-		loop.Schedule(seconds, done)
-		return
-	}
-	disks[int(elem)%len(disks)].Submit(seconds*1e6, done)
-}
-
-// newDisks builds an emulated disk bank on the node's loop (unit-rate
-// servers, like the simulator's).
-func newDisks(loop *exec.Loop, n int) []*cpu.Server {
-	if n <= 0 {
-		return nil
-	}
-	disks := make([]*cpu.Server, n)
-	for i := range disks {
-		disks[i] = cpu.NewServer(loop, 1)
-	}
-	return disks
-}
-
-// deliver posts fn onto the loop after the configured one-way delay — the
-// receiver-side emulation of the star network's link latency.
-func deliver(loop *exec.Loop, delay float64, fn func()) {
-	loop.Schedule(delay, fn)
-}
-
-// snapshotAge converts a received snapshot into the receiver's timebase:
-// it was taken one emulated link delay ago. Keeping the two processes'
-// clocks out of the protocol costs only the (sub-millisecond on loopback)
-// real transport latency.
-func snapshotAge(now, delay float64) float64 { return now - delay }

@@ -127,6 +127,11 @@ type loadAgg struct {
 	hist *stats.Histogram
 }
 
+// newLoadAgg returns an empty aggregate. RT scale: seconds; the histogram
+// spans [0, 3 s) at 1 ms per bucket — loopback response times are
+// milliseconds, and a slower one still counts toward the mean.
+func newLoadAgg() *loadAgg { return &loadAgg{hist: stats.NewHistogram(0, 3, 3000)} }
+
 func (a *loadAgg) record(res netx.Result, rt float64, inWindow bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -171,6 +176,25 @@ func (a *loadAgg) progress(elapsed float64) LoadProgress {
 	return p
 }
 
+// result assembles the window's LoadResult.
+func (a *loadAgg) result(elapsed, duration float64) LoadResult {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	r := a.res
+	r.Elapsed = elapsed
+	r.Hist = a.hist
+	if r.Completed > 0 {
+		r.MeanRT = a.sum / float64(r.Completed)
+		r.P50RT = a.hist.Quantile(0.50)
+		r.P95RT = a.hist.Quantile(0.95)
+	}
+	if n := r.LocalA + r.ShippedA; n > 0 {
+		r.ShipFraction = float64(r.ShippedA) / float64(n)
+	}
+	r.Throughput = float64(r.Completed) / duration
+	return r
+}
+
 // RunLoad drives a paced open-loop workload against the sites at addrs
 // (addrs[i] is site i) and reports the measurement window [Warmup,
 // Warmup+Duration), measured from the submitter's side: RT spans
@@ -188,9 +212,7 @@ func RunLoad(ctx context.Context, addrs []string, cfg hybrid.Config, opt LoadOpt
 		return nil, fmt.Errorf("cluster: %d site addresses for %d configured sites", len(addrs), cfg.Sites)
 	}
 
-	// RT scale: seconds. The histogram spans [0, 30s) at 1ms resolution
-	// per quantile bucket — far beyond any sane loopback RT.
-	agg := &loadAgg{hist: stats.NewHistogram(0, 30, 3000)}
+	agg := newLoadAgg()
 
 	conns := make([][]*netx.Conn, len(addrs))
 	defer func() {
@@ -328,19 +350,6 @@ func RunLoad(ctx context.Context, addrs []string, cfg hybrid.Config, opt LoadOpt
 		opt.Progress(p)
 	}
 
-	agg.mu.Lock()
-	defer agg.mu.Unlock()
-	r := agg.res
-	r.Elapsed = time.Since(start).Seconds()
-	r.Hist = agg.hist
-	if r.Completed > 0 {
-		r.MeanRT = agg.sum / float64(r.Completed)
-		r.P50RT = agg.hist.Quantile(0.50)
-		r.P95RT = agg.hist.Quantile(0.95)
-	}
-	if a := r.LocalA + r.ShippedA; a > 0 {
-		r.ShipFraction = float64(r.ShippedA) / float64(a)
-	}
-	r.Throughput = float64(r.Completed) / opt.Duration
+	r := agg.result(time.Since(start).Seconds(), opt.Duration)
 	return &r, ctx.Err()
 }

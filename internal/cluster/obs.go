@@ -4,10 +4,11 @@ package cluster
 // counters, wire-error tallies, transport-stat gauges, and the
 // loop-consistent scrape hook that makes the conservation invariant
 // (submitted == completed + in-flight) exactly checkable from a /metrics
-// scrape. Nodes keep their existing loop-confined stats structs as the
-// source of truth; at scrape time one closure posted onto the event loop
-// mirrors the whole snapshot into the registry, so every sample a scrape
-// sees came from the same instant of loop time.
+// scrape. The source of truth is loop-confined — the partition's own
+// conservation counters and the tallies its bus observer keeps; at scrape
+// time one closure posted onto the event loop mirrors the whole snapshot
+// into the registry, so every sample a scrape sees came from the same
+// instant of loop time.
 
 import (
 	"hybriddb/internal/netx"
@@ -74,19 +75,8 @@ func registerNetStats(reg *metrics.Registry, ns *netx.Stats) {
 // counters are monotone, so the delta is never negative.
 func counterTo(c *metrics.Counter, v uint64) { c.Add(v - c.Value()) }
 
-// mirrorOnLoop registers a scrape hook that runs fn on the node's loop and
-// waits for it, so everything fn mirrors into the registry is one
-// consistent loop-time snapshot. If the loop is stopped the hook is a
-// no-op and the last mirrored values stand.
-func mirrorOnLoop(reg *metrics.Registry, post func(func()) bool, fn func()) {
-	reg.OnScrape(func() {
-		done := make(chan struct{})
-		if !post(func() {
-			defer close(done)
-			fn()
-		}) {
-			return
-		}
-		<-done
-	})
-}
+// mirror registers a scrape hook that runs fn on the node's loop and waits
+// for it, so everything fn mirrors into the registry is one consistent
+// loop-time snapshot. If the loop is stopped the hook is a no-op and the
+// last mirrored values stand.
+func (n *node) mirror(fn func()) { n.reg.OnScrape(func() { n.stats(fn) }) }

@@ -7,9 +7,18 @@ import (
 	"hybriddb/internal/sim"
 )
 
+// The test links carry callbacks; the receiver runs each one on delivery.
+func run(f func(), _ float64) { f() }
+
+func newLink(s *sim.Simulator, d float64) *Link[func()] { return NewLink(s, d, run) }
+
+func newNetwork(s *sim.Simulator, n int, d float64) *Network[func()] {
+	return NewNetwork(s, n, d, run)
+}
+
 func TestDeliveryDelay(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 0.2)
+	l := newLink(s, 0.2)
 	var at float64 = -1
 	s.Schedule(1, func() { l.Send(func() { at = s.Now() }) })
 	s.Run()
@@ -20,7 +29,7 @@ func TestDeliveryDelay(t *testing.T) {
 
 func TestFIFOOrdering(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 0.5)
+	l := newLink(s, 0.5)
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
@@ -36,7 +45,7 @@ func TestFIFOOrdering(t *testing.T) {
 
 func TestFIFOAcrossSendTimes(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 0.5)
+	l := newLink(s, 0.5)
 	var order []int
 	s.Schedule(0, func() { l.Send(func() { order = append(order, 1) }) })
 	s.Schedule(0.1, func() { l.Send(func() { order = append(order, 2) }) })
@@ -49,7 +58,7 @@ func TestFIFOAcrossSendTimes(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 1)
+	l := newLink(s, 1)
 	l.Send(func() {})
 	l.Send(func() {})
 	if l.Sent() != 2 || l.Delivered() != 0 || l.InFlight() != 2 {
@@ -63,7 +72,7 @@ func TestCounters(t *testing.T) {
 
 func TestZeroDelayLink(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 0)
+	l := newLink(s, 0)
 	ran := false
 	l.Send(func() { ran = true })
 	s.Run()
@@ -74,9 +83,9 @@ func TestZeroDelayLink(t *testing.T) {
 
 func TestInvalidLink(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewLink(nil, 1) },
-		func() { NewLink(sim.New(), -1) },
-		func() { NewLink(sim.New(), 1).Send(nil) },
+		func() { newLink(nil, 1) },
+		func() { newLink(sim.New(), -1) },
+		func() { NewLink[func()](sim.New(), 1, nil) },
 	} {
 		func() {
 			defer func() {
@@ -91,7 +100,7 @@ func TestInvalidLink(t *testing.T) {
 
 func TestNetworkTopology(t *testing.T) {
 	s := sim.New()
-	n := NewNetwork(s, 3, 0.2)
+	n := newNetwork(s, 3, 0.2)
 	if n.Sites() != 3 {
 		t.Fatalf("sites = %d", n.Sites())
 	}
@@ -116,7 +125,7 @@ func TestNetworkInvalidSize(t *testing.T) {
 			t.Fatal("zero-site network did not panic")
 		}
 	}()
-	NewNetwork(sim.New(), 0, 0.2)
+	newNetwork(sim.New(), 0, 0.2)
 }
 
 // TestQuickFIFO sends messages at arbitrary nondecreasing times and verifies
@@ -124,7 +133,7 @@ func TestNetworkInvalidSize(t *testing.T) {
 func TestQuickFIFO(t *testing.T) {
 	f := func(gaps []uint8) bool {
 		s := sim.New()
-		l := NewLink(s, 0.3)
+		l := newLink(s, 0.3)
 		var order []int
 		at := 0.0
 		for i, g := range gaps {
@@ -153,7 +162,7 @@ func TestQuickFIFO(t *testing.T) {
 // reply must arrive exactly one delay after the request's delivery.
 func TestSendInsideDelivery(t *testing.T) {
 	s := sim.New()
-	n := NewNetwork(s, 1, 0.2)
+	n := newNetwork(s, 1, 0.2)
 	var replyAt float64 = -1
 	s.Schedule(1, func() {
 		n.ToCentral(0, func() {
@@ -172,8 +181,8 @@ func TestSendInsideDelivery(t *testing.T) {
 // slower one, while each link's own order is preserved.
 func TestPerLinkFIFOIndependence(t *testing.T) {
 	s := sim.New()
-	slow := NewLink(s, 1.0)
-	fast := NewLink(s, 0.1)
+	slow := newLink(s, 1.0)
+	fast := newLink(s, 0.1)
 	var order []string
 	slow.Send(func() { order = append(order, "slow1") })
 	slow.Send(func() { order = append(order, "slow2") })
@@ -196,7 +205,7 @@ func TestPerLinkFIFOIndependence(t *testing.T) {
 // with equal delay are delivered in scheduling (send) order.
 func TestSameInstantDeliveriesKeepScheduleOrder(t *testing.T) {
 	s := sim.New()
-	n := NewNetwork(s, 3, 0.5)
+	n := newNetwork(s, 3, 0.5)
 	var order []int
 	for i := 0; i < 3; i++ {
 		i := i
@@ -215,7 +224,7 @@ func TestSameInstantDeliveriesKeepScheduleOrder(t *testing.T) {
 // message-level observability.
 func TestNetworkInFlightDuringExchange(t *testing.T) {
 	s := sim.New()
-	n := NewNetwork(s, 2, 0.3)
+	n := newNetwork(s, 2, 0.3)
 	n.ToCentral(0, func() {
 		if got := n.MessagesInFlight(); got != 0 {
 			t.Errorf("in flight at delivery = %d, want 0", got)
@@ -241,7 +250,7 @@ func TestNetworkInFlightDuringExchange(t *testing.T) {
 // kernel's same-time tie-break is scheduling order).
 func TestZeroDelaySendInsideDeliveryRunsSameInstant(t *testing.T) {
 	s := sim.New()
-	l := NewLink(s, 0)
+	l := newLink(s, 0)
 	var order []string
 	s.Schedule(1, func() {
 		l.Send(func() {

@@ -14,47 +14,56 @@ import (
 )
 
 // centralPath runs transactions at the central computing complex.
-type centralPath struct{ e *Engine }
+type centralPath struct{ c *core }
 
-// ship sends a transaction's input to the central site. It executes on the
-// home shard; the delivery closure executes on the central shard, where
-// ownership of t has transferred with the message.
+// ship sends a transaction's input to the central site. It executes at the
+// home site, which keeps the run as the transaction's arrival record until
+// the completion reply names it.
 func (p centralPath) ship(t *txnRun) {
-	e := p.e
-	t.shipped = true
+	c := p.c
 	home := t.spec.HomeSite
-	ls := e.sites[home]
+	ls := c.sites[home]
 	if t.spec.Class == workload.ClassA {
 		ls.shippedOut++
 	}
 	ls.shipStarted++
-	e.network.ToCentral(home, func() {
-		e.central.shipArrived++
-		p.start(t)
-	})
+	t.phase = phaseShipped
+	ls.running.Put(t.id(), t)
+	c.network.ToCentral(Msg{Kind: MsgShip, Site: home, Txn: t.spec.ID, Spec: t.spec})
 }
 
-func (p centralPath) start(t *txnRun) {
-	e := p.e
-	e.central.inSystem++
-	e.central.running.Put(t.id(), t)
-	e.central.cpu.Submit(e.cfg.InstrOverhead, t.conts.setup)
+// arrive admits a shipped transaction at the central complex with a run of
+// its own. A transaction already present is a duplicate and is dropped.
+func (p centralPath) arrive(spec *workload.Txn) bool {
+	c := p.c
+	cs := c.central
+	if _, dup := cs.running.Get(lock.ID(spec.ID)); dup {
+		return false
+	}
+	cs.shipArrived++
+	now := cs.sched.Now()
+	c.observeAt(now, obs.Event{Kind: obs.ShipArrive, Site: -1, Txn: spec.ID, Value: float64(spec.HomeSite)})
+	t := c.takeRun(&cs.txnFree, true, spec, now)
+	cs.inSystem++
+	cs.running.Put(t.id(), t)
+	cs.cpu.Submit(c.cfg.InstrOverhead, t.conts.setup)
+	return true
 }
 
 // setupIO runs after the admission CPU burst: the initial I/O, no locks held.
 func (p centralPath) setupIO(t *txnRun) {
-	e := p.e
-	scheduleIO(e.central.sched, e.central.disks, uint32(t.spec.ID), e.cfg.SetupIOTime, t.conts.setupIO)
+	c := p.c
+	scheduleIO(c.central.sched, c.central.disks, uint32(t.spec.ID), c.cfg.SetupIOTime, t.conts.setupIO)
 }
 
 func (p centralPath) call(t *txnRun, i int) {
-	e := p.e
-	if i >= e.cfg.CallsPerTxn {
-		e.commit.begin(t)
+	c := p.c
+	if i >= c.cfg.CallsPerTxn {
+		c.commit.begin(t)
 		return
 	}
 	t.callIdx = i
-	e.central.cpu.Submit(e.cfg.InstrPerCall, t.conts.call)
+	c.central.cpu.Submit(c.cfg.InstrPerCall, t.conts.call)
 }
 
 // callBody is call callIdx's work after its CPU burst. Under partial
@@ -62,11 +71,11 @@ func (p centralPath) call(t *txnRun, i int) {
 // delay before its lock request (re-runs find the element cached, mirroring
 // the first-run-only data I/O); then lockBody requests the lock.
 func (p centralPath) callBody(t *txnRun) {
-	e := p.e
-	if e.partialRepl && t.attempt == 1 && e.isCold(t.spec.Elements[t.callIdx]) {
-		e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.ColdFetch, Site: -1, Value: e.cfg.ColdFetchDelay})
-		if e.cfg.ColdFetchDelay > 0 {
-			e.central.sched.Schedule(e.cfg.ColdFetchDelay, t.conts.fetched)
+	c := p.c
+	if c.partialRepl && t.attempt == 1 && c.isCold(t.spec.Elements[t.callIdx]) {
+		c.observeAt(c.central.sched.Now(), obs.Event{Kind: obs.ColdFetch, Site: -1, Txn: t.spec.ID, Value: c.cfg.ColdFetchDelay})
+		if c.cfg.ColdFetchDelay > 0 {
+			c.central.sched.Schedule(c.cfg.ColdFetchDelay, t.conts.fetched)
 			return
 		}
 		// A zero-delay fetch proceeds inline: scheduling a 0-delay event
@@ -78,40 +87,40 @@ func (p centralPath) callBody(t *txnRun) {
 
 // lockBody is the lock acquisition of call callIdx.
 func (p centralPath) lockBody(t *txnRun) {
-	e := p.e
+	c := p.c
 	i := t.callIdx
 	elem, mode := t.spec.Elements[i], t.spec.Modes[i]
-	if _, held := e.central.locks.Holds(t.id(), elem); held {
+	if _, held := c.central.locks.Holds(t.id(), elem); held {
 		p.afterLock(t, i)
 		return
 	}
-	e.emit(trace.LockRequest, t.spec.ID, -1, elem, mode.String())
-	switch e.central.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
+	c.emit(trace.LockRequest, t.spec.ID, -1, elem, mode.String())
+	switch c.central.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
 	case lock.Granted:
-		e.emit(trace.LockGranted, t.spec.ID, -1, elem, "")
+		c.emit(trace.LockGranted, t.spec.ID, -1, elem, "")
 		p.afterLock(t, i)
 	case lock.Queued:
 		t.phase = phaseLockWait
-		t.lockWaitFrom = e.central.sched.Now()
-		e.emit(trace.LockWaitBegin, t.spec.ID, -1, elem, "")
+		t.lockWaitFrom = c.central.sched.Now()
+		c.emit(trace.LockWaitBegin, t.spec.ID, -1, elem, "")
 	case lock.Deadlock:
-		e.emit(trace.DeadlockAbort, t.spec.ID, -1, elem, "")
+		c.emit(trace.DeadlockAbort, t.spec.ID, -1, elem, "")
 		p.deadlockAbort(t)
 	}
 }
 
 // granted resumes call callIdx after a queued lock request was granted.
 func (p centralPath) granted(t *txnRun) {
-	e := p.e
-	e.recordLockWait(t)
-	e.emit(trace.LockGranted, t.spec.ID, -1, t.spec.Elements[t.callIdx], "")
+	c := p.c
+	c.recordLockWait(t)
+	c.emit(trace.LockGranted, t.spec.ID, -1, t.spec.Elements[t.callIdx], "")
 	p.afterLock(t, t.callIdx)
 }
 
 func (p centralPath) afterLock(t *txnRun, i int) {
-	e := p.e
+	c := p.c
 	if t.attempt == 1 {
-		scheduleIO(e.central.sched, e.central.disks, t.spec.Elements[i], e.cfg.IOTimePerCall, t.conts.io)
+		scheduleIO(c.central.sched, c.central.disks, t.spec.Elements[i], c.cfg.IOTimePerCall, t.conts.io)
 		return
 	}
 	p.call(t, i+1)
@@ -120,22 +129,22 @@ func (p centralPath) afterLock(t *txnRun, i int) {
 // restart re-runs an aborted central transaction at the central site,
 // retaining its surviving central locks (§3.1).
 func (p centralPath) restart(t *txnRun) {
-	e := p.e
+	c := p.c
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	if e.Detailed() {
-		e.emit(trace.Rerun, t.spec.ID, -1, 0, fmt.Sprintf("attempt %d", t.attempt))
+	if c.Detailed() {
+		c.emit(trace.Rerun, t.spec.ID, -1, 0, fmt.Sprintf("attempt %d", t.attempt))
 	}
-	e.central.sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	c.central.sched.Schedule(c.cfg.RestartDelay, t.conts.restart)
 }
 
 func (p centralPath) deadlockAbort(t *txnRun) {
-	e := p.e
-	e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.AbortDeadlockCentral, Site: -1})
-	e.central.locks.ReleaseAll(t.id())
+	c := p.c
+	c.observeAt(c.central.sched.Now(), obs.Event{Kind: obs.AbortDeadlockCentral, Site: -1, Txn: t.spec.ID})
+	c.central.locks.ReleaseAll(t.id())
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	e.central.sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	c.central.sched.Schedule(c.cfg.RestartDelay, t.conts.restart)
 }

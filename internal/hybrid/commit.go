@@ -16,104 +16,105 @@ import (
 
 // commitProtocol runs the authenticate/ack/nack commit sequence for central
 // executions.
-type commitProtocol struct{ e *Engine }
+type commitProtocol struct{ c *core }
 
 // begin is the commit point of a centrally running transaction: abort if
 // invalidated, otherwise run the authentication phase against every master
 // site of the data locked (§2).
-func (c commitProtocol) begin(t *txnRun) {
-	e := c.e
+func (p commitProtocol) begin(t *txnRun) {
+	c := p.c
+	cs := c.central
 	if t.marked {
-		e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.AbortCentralInval, Site: -1})
-		e.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, "invalidated by async update")
-		e.remote.restart(t)
+		c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.AbortCentralInval, Site: -1, Txn: t.spec.ID})
+		c.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, "invalidated by async update")
+		c.remote.restart(t)
 		return
 	}
-	wl := e.cfg.WorkloadConfig()
 	// Central-shard scratch: consumed by the fan-out loop below, never
 	// captured by the messages it sends.
-	sites := t.spec.AppendSitesTouched(wl, e.central.sitesBuf[:0])
-	e.central.sitesBuf = sites
+	sites := t.spec.AppendSitesTouched(c.wl, cs.sitesBuf[:0])
+	cs.sitesBuf = sites
 	t.phase = phaseAuthWait
 	t.authPending = len(sites)
 	t.authNACK = false
 	t.authSeized = t.authSeized[:0]
-	e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.AuthRound, Site: -1})
+	c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.AuthRound, Site: -1, Txn: t.spec.ID, Value: float64(len(sites))})
 
-	// The request payload (IDs, elements, modes, snapshot) is captured by
-	// value: while the run waits in phaseAuthWait the central shard owns it,
-	// so the site-side handler must not dereference t. The pointer itself
-	// rides along only to route the reply, which executes back at central.
-	tid, txnID := t.id(), t.spec.ID
-	snap := e.prop.snapshotCentral()
+	view := p.view()
 	for _, site := range sites {
-		site := site
 		var elems []uint32
 		var modes []lock.Mode
 		for j, elem := range t.spec.Elements {
-			if wl.PartitionOf(elem) == site {
+			if c.wl.PartitionOf(elem) == site {
 				elems = append(elems, elem)
 				modes = append(modes, t.spec.Modes[j])
 			}
 		}
-		if e.Detailed() {
-			e.emit(trace.AuthRequest, txnID, site, 0, fmt.Sprintf("%d elements", len(elems)))
+		if c.Detailed() {
+			c.emit(trace.AuthRequest, t.spec.ID, site, 0, fmt.Sprintf("%d elements", len(elems)))
 		}
-		e.network.ToSite(site, func() {
-			// Authentication messages always refresh the site's view of
-			// the central state (§4.2).
-			e.sites[site].refreshView(snap)
-			c.authenticate(t, tid, txnID, site, elems, modes)
-		})
+		c.network.ToSite(Msg{Kind: MsgAuthReq, Site: site, Txn: t.spec.ID, Elems: elems, Modes: modes, View: view})
 	}
+}
+
+// view captures the central state for piggybacking on a message being sent
+// now (always from the central partition).
+func (p commitProtocol) view() View {
+	cs := p.c.central
+	return View{Queue: cs.cpu.QueueLength(), InSystem: cs.inSystem, Locks: cs.locks.LocksHeld()}
 }
 
 // authenticate processes an authentication request at a local site: NACK if
 // any element has in-flight asynchronous updates; otherwise seize the locks,
-// marking conflicting local holders for abort, and ACK. It executes on the
-// site's shard and touches only site-owned state — the transaction IDs
-// arrive by value, and t passes through untouched to the reply.
-func (c commitProtocol) authenticate(t *txnRun, tid lock.ID, txnID int64, site int, elems []uint32, modes []lock.Mode) {
-	e := c.e
-	ls := e.sites[site]
+// marking conflicting local holders for abort, and ACK. Authentication
+// messages always refresh the site's view of the central state (§4.2).
+func (p commitProtocol) authenticate(m Msg, sentAt float64) {
+	c := p.c
+	ls := c.sites[m.Site]
+	ls.refreshView(m.View, sentAt)
 	nack := false
-	for _, elem := range elems {
+	for _, elem := range m.Elems {
 		if ls.locks.Coherence(elem) != 0 {
 			nack = true
 			break
 		}
 	}
+	kind := obs.AuthNack
 	if !nack {
-		for j, elem := range elems {
-			victims, ok := ls.locks.Seize(tid, elem, modes[j])
+		kind = obs.AuthAck
+		tid := lock.ID(m.Txn)
+		for j, elem := range m.Elems {
+			victims, ok := ls.locks.Seize(tid, elem, m.Modes[j])
 			if !ok {
 				// Unreachable: coherence was checked above and cannot
 				// change within one event.
 				panic("hybrid: seize failed after coherence check")
 			}
-			if len(victims) > 0 && e.Detailed() {
-				e.emit(trace.AuthSeized, txnID, site, elem,
+			if len(victims) > 0 && c.Detailed() {
+				c.emit(trace.AuthSeized, m.Txn, m.Site, elem,
 					fmt.Sprintf("%d victims", len(victims)))
 			}
 			for _, v := range victims {
-				c.markVictim(ls, v)
+				p.markVictim(ls, v)
 			}
 		}
-		e.emit(trace.AuthACK, txnID, site, 0, "")
+		c.emit(trace.AuthACK, m.Txn, m.Site, 0, "")
 	} else {
-		e.emit(trace.AuthNACK, txnID, site, 0, "in-flight updates")
+		c.emit(trace.AuthNACK, m.Txn, m.Site, 0, "in-flight updates")
 	}
-	e.network.ToCentral(site, func() { c.reply(t, site, nack) })
+	c.observeAt(ls.sched.Now(), obs.Event{Kind: kind, Site: m.Site, Txn: m.Txn, Value: float64(len(m.Elems))})
+	c.network.ToCentral(Msg{Kind: MsgAuthReply, Site: m.Site, Txn: m.Txn, NACK: nack})
 }
 
-// markVictim marks the local holder of a seized lock for abort. A victim ID
-// absent from the site's running map is another central transaction's stale
+// markVictim marks the local holder of a seized lock for abort. A victim
+// that is not executing here is either a shipped transaction's arrival
+// record (whose mark nothing reads) or another central transaction's stale
 // authentication lock — reachable only when that transaction was already
 // invalidated mid-flight (two live central transactions cannot both pass
 // their conflicting central lock phase), so it is already marked and needs
 // nothing from us. Not consulting the central running map keeps this
-// handler site-shard-pure.
-func (c commitProtocol) markVictim(ls *localSite, v lock.ID) {
+// handler site-partition-pure.
+func (p commitProtocol) markVictim(ls *localSite, v lock.ID) {
 	if vt, ok := ls.running.Get(v); ok {
 		vt.marked = true
 	}
@@ -121,104 +122,113 @@ func (c commitProtocol) markVictim(ls *localSite, v lock.ID) {
 
 // reply folds one site's authentication answer into the transaction; when
 // the last reply is in, the final commit gate of §2 decides: every site
-// positive and the central locks not invalidated meanwhile.
-func (c commitProtocol) reply(t *txnRun, site int, nack bool) {
-	e := c.e
-	if nack {
+// positive and the central locks not invalidated meanwhile. An answer for no
+// transaction awaiting one is dropped.
+func (p commitProtocol) reply(m Msg) bool {
+	c := p.c
+	t, ok := c.central.running.Get(lock.ID(m.Txn))
+	if !ok || t.phase != phaseAuthWait {
+		return false
+	}
+	if m.NACK {
 		t.authNACK = true
 	} else {
-		t.authSeized = append(t.authSeized, site)
+		t.authSeized = append(t.authSeized, m.Site)
 	}
 	t.authPending--
 	if t.authPending > 0 {
-		return
+		return true
 	}
 	if t.authNACK || t.marked {
+		kind := obs.AbortCentralInval
 		if t.authNACK {
-			e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.AbortCentralNACK, Site: -1})
-		} else {
-			e.observeAt(e.central.sched.Now(), obs.Event{Kind: obs.AbortCentralInval, Site: -1})
+			kind = obs.AbortCentralNACK
 		}
-		if e.Detailed() {
+		c.observeAt(c.central.sched.Now(), obs.Event{Kind: kind, Site: -1, Txn: t.spec.ID})
+		if c.Detailed() {
 			reason := "invalidated during authentication"
 			if t.authNACK {
 				reason = "authentication NACK"
 			}
-			e.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, reason)
+			c.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, reason)
 		}
-		c.releaseAuthLocks(t)
-		e.remote.restart(t)
-		return
+		p.releaseAuthLocks(t, p.view())
+		c.remote.restart(t)
+		return true
 	}
-	c.finish(t)
+	p.finish(t)
+	return true
 }
 
 // releaseAuthLocks tells every site that seized locks for t to release them
-// (abort path).
-func (c commitProtocol) releaseAuthLocks(t *txnRun) {
-	e := c.e
-	snap := e.prop.snapshotCentral()
-	// Capture the ID, not the run: the run is pooled, and by the time this
-	// message arrives the transaction may have restarted, committed, and
-	// been recycled for a different transaction.
-	tid := t.id()
+// (abort and commit paths alike).
+func (p commitProtocol) releaseAuthLocks(t *txnRun, view View) {
 	for _, site := range t.authSeized {
-		site := site
-		e.network.ToSite(site, func() {
-			if e.cfg.Feedback == FeedbackAllMessages {
-				e.sites[site].refreshView(snap)
-			}
-			e.sites[site].locks.ReleaseAll(tid)
-		})
+		p.c.network.ToSite(Msg{Kind: MsgRelease, Site: site, Txn: t.spec.ID, View: view})
 	}
 	t.authSeized = t.authSeized[:0]
+}
+
+// release frees a transaction's seized authentication locks at a site.
+func (p commitProtocol) release(m Msg, sentAt float64) {
+	ls := p.c.sites[m.Site]
+	if p.c.cfg.Feedback == FeedbackAllMessages {
+		ls.refreshView(m.View, sentAt)
+	}
+	ls.locks.ReleaseAll(lock.ID(m.Txn))
 }
 
 // finish finalizes a central transaction: commit messages release the
 // authentication locks and install the updates at the involved sites, the
 // central locks are released, and the completion reply travels to the origin
 // where the response time is recorded.
-func (c commitProtocol) finish(t *txnRun) {
-	e := c.e
-	snap := e.prop.snapshotCentral()
-	tid := t.id() // the run is pooled; delayed messages carry the ID by value
-	for _, site := range t.authSeized {
-		site := site
-		e.network.ToSite(site, func() {
-			if e.cfg.Feedback == FeedbackAllMessages {
-				e.sites[site].refreshView(snap)
-			}
-			e.sites[site].locks.ReleaseAll(tid)
-		})
-	}
-	t.authSeized = t.authSeized[:0]
-	e.central.locks.ReleaseAll(t.id())
-	e.central.inSystem--
-	e.central.running.Delete(t.id())
+func (p commitProtocol) finish(t *txnRun) {
+	c := p.c
+	cs := c.central
+	view := p.view()
+	p.releaseAuthLocks(t, view)
+	cs.locks.ReleaseAll(t.id())
+	cs.inSystem--
+	cs.running.Delete(t.id())
 	t.phase = phaseDone
-	e.emit(trace.CommitCentral, t.spec.ID, -1, 0, "")
+	c.emit(trace.CommitCentral, t.spec.ID, -1, 0, "")
+	c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.CentralCommit, Site: -1, Txn: t.spec.ID, Aux: float64(t.attempt)})
 
-	home := t.spec.HomeSite
-	e.central.replyStarted++
-	e.network.ToSite(home, func() {
-		// The reply hands ownership of t back to the home shard.
-		ls := e.sites[home]
-		ls.replyArrived++
-		e.emit(trace.ReplyDelivered, t.spec.ID, home, 0, "")
-		if e.cfg.Feedback == FeedbackAllMessages {
-			ls.refreshView(snap)
-		}
-		rt := ls.sched.Now() - t.arrivedAt
-		ls.completed++
-		classB := t.spec.Class != workload.ClassA
-		if !classB {
-			ls.shippedOut--
-			ls.lastShippedRT = rt
-		}
-		e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnReply, ClassB: classB, Value: rt, Site: home})
-		// The reply is the last touch: the seized-lock releases above were
-		// scheduled earlier at the same instant over equal-delay links, so
-		// FIFO tie-breaking guarantees they have already run.
-		e.recycleTxnRun(t)
-	})
+	cs.replyStarted++
+	c.network.ToSite(Msg{Kind: MsgReply, Site: t.spec.HomeSite, Txn: t.spec.ID, ClassB: t.spec.Class == workload.ClassB, View: view})
+	// The execution is over: the spec stays with the home site's record.
+	t.spec = nil
+	cs.txnFree = append(cs.txnFree, t)
+}
+
+// delivered completes a shipped transaction at its home site when the
+// reply arrives, recording the response time. A reply for no transaction
+// awaiting one is dropped.
+func (p commitProtocol) delivered(m Msg, sentAt float64) bool {
+	c := p.c
+	ls := c.sites[m.Site]
+	t, ok := ls.running.Get(lock.ID(m.Txn))
+	if !ok || t.phase != phaseShipped {
+		return false
+	}
+	ls.running.Delete(t.id())
+	ls.replyArrived++
+	c.emit(trace.ReplyDelivered, m.Txn, m.Site, 0, "")
+	if c.cfg.Feedback == FeedbackAllMessages {
+		ls.refreshView(m.View, sentAt)
+	}
+	now := ls.sched.Now()
+	rt := now - t.arrivedAt
+	ls.completed++
+	classB := t.spec.Class != workload.ClassA
+	if !classB {
+		ls.shippedOut--
+		ls.lastShippedRT = rt
+	}
+	c.observeAt(now, obs.Event{Kind: obs.TxnReply, ClassB: classB, Value: rt, Site: m.Site, Txn: m.Txn})
+	// The reply is the last touch: the seized-lock releases were sent
+	// earlier at the same instant over equal-delay links, so FIFO
+	// tie-breaking guarantees they have already run.
+	c.recycleTxnRun(t)
+	return true
 }

@@ -4,11 +4,8 @@ import (
 	"fmt"
 
 	"hybriddb/internal/comm"
-	"hybriddb/internal/cpu"
 	"hybriddb/internal/exec"
-	"hybriddb/internal/flatmap"
 	"hybriddb/internal/hybrid/obs"
-	"hybriddb/internal/lock"
 	"hybriddb/internal/rng"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
@@ -17,9 +14,9 @@ import (
 )
 
 // Engine wires the substrates into the full hybrid system simulation. The
-// logic lives in four layers, each in its own file:
+// protocol lives in the core (core.go) and its layers, each in its own file:
 //
-//   - site layer (site.go): localSite/centralSite state, view snapshots, and
+//   - site layer (site.go): localSite/centralSite state, views, and
 //     disk/CPU server construction;
 //   - transaction lifecycle layer (local_path.go, central_path.go,
 //     commit.go): the txnRun phase machine and the cross-site
@@ -29,44 +26,32 @@ import (
 //   - observer bus (obs package, wired here): metrics, tracing, queue
 //     sampling, and invariant self-checks subscribe to engine events.
 //
-// Engine itself only constructs, wires, and drives the run loop — which is
-// either the single-queue sequential loop (the bit-exact oracle) or the
-// sharded conservative-parallel loop (parallel.go), selected at Run time.
+// Engine holds every partition of the core and only constructs, wires, and
+// drives the run loop — either the single-queue sequential loop (the
+// bit-exact oracle) or the sharded conservative-parallel loop
+// (parallel.go), selected at Run time. Both run modes use the same strategy
+// instances, which is what makes their decision streams bit-identical.
 type Engine struct {
-	cfg      Config
+	core
 	strategy routing.Strategy
-	// strategies holds the per-site decision instances: stateful strategies
-	// (routing.SiteLocal) are forked one per site so each site's decision
-	// stream is a pure function of that site's arrivals; stateless ones are
-	// shared. Both run modes use the same instances, which is what makes
-	// their decision streams bit-identical.
-	strategies []routing.Strategy
 
 	simulator *sim.Simulator // the sequential event queue (shard 0's in a sharded run)
-	network   Transport
 	generator *workload.Generator
 	arrivals  []*workload.Arrivals
 	nhpp      []*workload.NHPPArrivals // non-nil when RateSchedules is set
-
-	sites   []*localSite
-	central *centralSite
 
 	// Sharded-run state (parallel.go); group is nil in a sequential run.
 	group    *sim.Group
 	parallel bool
 
-	// Lifecycle and propagation layers (stateless handles on the engine).
-	local  localPath
-	remote centralPath
-	commit commitProtocol
-	prop   propagator
+	// wrap, when set, wraps the transport chosen at Run (WrapTransport).
+	wrap func(Transport) Transport
 
-	// Instrumentation: every observation flows through the bus. The metrics
-	// observer is always subscribed (it produces the Result); tracing and
-	// self-checking subscribe on demand. externalObs counts observers from
-	// outside the engine — their presence forces the sequential loop, since
-	// only a single event queue produces one globally ordered event stream.
-	bus         obs.Bus
+	// The metrics observer is always subscribed (it produces the Result);
+	// tracing and self-checking subscribe on demand. externalObs counts
+	// observers from outside the engine — their presence forces the
+	// sequential loop, since only a single event queue produces one
+	// globally ordered event stream.
 	m           *metrics
 	externalObs int
 
@@ -74,13 +59,6 @@ type Engine struct {
 	// grouped by home site and replaces the Poisson generator.
 	replayTxns [][]*workload.Txn
 	replayGaps [][]float64
-
-	// Partial-replication precompute (Config.CentralHotFraction < 1): a
-	// partition element at offset >= hotPerPart is cold — not centrally
-	// resident — and a central-path call on it pays ColdFetchDelay.
-	partialRepl bool
-	hotPerPart  uint32
-	partSize    uint32
 
 	horizon float64
 }
@@ -96,53 +74,29 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 	s := sim.New()
 	root := rng.New(cfg.Seed)
 	e := &Engine{
-		cfg:       cfg,
 		strategy:  strategy,
 		simulator: s,
 		generator: workload.NewGenerator(cfg.WorkloadConfig(), root.Split().Uint64()),
 		m:         newMetrics(cfg.SeriesBucket, cfg.Sites),
-		central: &centralSite{
-			sched:   exec.NewDispatch(exec.Sim(s)),
-			cpu:     cpu.NewServer(exec.Sim(s), cfg.CentralMIPS),
-			disks:   newDisks(exec.Sim(s), cfg.DisksCentral),
-			locks:   lock.NewManager(),
-			running: flatmap.New[lock.ID, *txnRun](16),
-		},
-		horizon: cfg.Warmup + cfg.Duration,
+		horizon:   cfg.Warmup + cfg.Duration,
 	}
-	e.partSize = cfg.WorkloadConfig().PartitionSize()
-	if cfg.CentralHotFraction < 1 {
-		e.partialRepl = true
-		e.hotPerPart = uint32(cfg.CentralHotFraction * float64(e.partSize))
-	} else {
-		e.hotPerPart = e.partSize
-	}
-	e.network = comm.NewNetwork(s, cfg.Sites, cfg.CommDelay)
-	e.local = localPath{e}
-	e.remote = centralPath{e}
-	e.commit = commitProtocol{e}
-	e.prop = propagator{e}
+	e.init(cfg, s)
+	e.recycleSpecs = true
+	e.newCentralSite(exec.Sim(s))
+	e.network = simNet{comm.NewNetwork(s, cfg.Sites, cfg.CommDelay, e.simReceiver())}
 	e.bus.Subscribe(e.m)
 	if cfg.SelfCheck {
 		e.bus.Subscribe(invariantObserver{e})
 	}
 	arrivalSeeds := root.Split()
 	for i := 0; i < cfg.Sites; i++ {
-		e.sites = append(e.sites, &localSite{
-			idx:     i,
-			sched:   exec.NewDispatch(exec.Sim(s)),
-			cpu:     cpu.NewServer(exec.Sim(s), cfg.LocalMIPS),
-			disks:   newDisks(exec.Sim(s), cfg.DisksPerSite),
-			locks:   lock.NewManager(),
-			running: flatmap.New[lock.ID, *txnRun](16),
-		})
+		e.newLocalSite(i, exec.Sim(s))
 		if cfg.RateSchedules != nil {
 			e.nhpp = append(e.nhpp, workload.NewNHPPArrivals(cfg.RateSchedules[i], arrivalSeeds.Uint64()))
 		} else {
 			e.arrivals = append(e.arrivals, workload.NewArrivals(cfg.SiteRate(i), arrivalSeeds.Uint64()))
 		}
 	}
-	e.strategies = make([]routing.Strategy, cfg.Sites)
 	if sl, ok := strategy.(routing.SiteLocal); ok {
 		stratSeeds := root.Split()
 		for i := range e.strategies {
@@ -155,6 +109,21 @@ func New(cfg Config, strategy routing.Strategy) (*Engine, error) {
 	}
 	return e, nil
 }
+
+// simNet is the sequential transport: the star network on the single event
+// queue.
+type simNet struct{ net *comm.Network[Msg] }
+
+func (n simNet) ToCentral(m Msg)      { n.net.ToCentral(m.Site, m) }
+func (n simNet) ToSite(m Msg)         { n.net.ToSite(m.Site, m) }
+func (n simNet) MessagesSent() uint64 { return n.net.MessagesSent() }
+
+// WrapTransport installs w around the transport the run uses (the
+// sequential network or the sharded one), so every protocol message passes
+// through w's ToCentral/ToSite on its way. Call before Run. w must forward
+// each message to the transport it wraps, exactly once and in order; the
+// wire-codec tests use it to run the engine over encoded messages.
+func (e *Engine) WrapTransport(w func(Transport) Transport) { e.wrap = w }
 
 // Subscribe attaches an observer to the engine's bus. Call before Run.
 // Observers implementing obs.DetailObserver also receive the protocol-detail
@@ -176,31 +145,6 @@ func (e *Engine) SetTracer(t trace.Tracer) {
 	e.externalObs++
 	e.bus.Subscribe(obs.NewTracer(t))
 }
-
-// observeAt emits a lifecycle event stamped with the given simulated time —
-// the clock of whichever shard (or the single queue) the emitting event is
-// executing on.
-func (e *Engine) observeAt(at float64, ev obs.Event) {
-	ev.At = at
-	e.bus.Emit(ev)
-}
-
-// emit records a protocol-detail event. The HasDetail guard keeps the hot
-// loop free of event (and note string) construction when tracing is off;
-// callers with expensive notes should check Detailed themselves. Detail
-// observers imply a sequential run, so the single queue's clock is correct.
-func (e *Engine) emit(kind trace.Kind, txn int64, site int, elem uint32, note string) {
-	if !e.bus.HasDetail() {
-		return
-	}
-	e.bus.EmitDetail(obs.Event{
-		At: e.simulator.Now(), Kind: obs.TraceDetail,
-		Trace: kind, Txn: txn, Site: site, Elem: elem, Note: note,
-	})
-}
-
-// Detailed reports whether a detail (trace) observer is subscribed.
-func (e *Engine) Detailed() bool { return e.bus.HasDetail() }
 
 // SetTrace replaces the synthetic workload with a recorded transaction
 // stream (see workload.Capture/ReadAll): gaps[i] is the interarrival time of
@@ -233,6 +177,7 @@ func (e *Engine) SetTrace(txns []*workload.Txn, gaps []float64) error {
 	}
 	e.replayTxns = byTxns
 	e.replayGaps = byGaps
+	e.recycleSpecs = false
 	return nil
 }
 
@@ -244,6 +189,9 @@ func (e *Engine) Parallel() bool { return e.parallel }
 // Run executes the simulation and returns the measured result.
 func (e *Engine) Run() Result {
 	e.setupRunMode()
+	if e.wrap != nil {
+		e.network = e.wrap(e.network)
+	}
 	if e.replayTxns != nil {
 		for i := range e.sites {
 			e.scheduleReplay(i, 0)
@@ -385,36 +333,6 @@ func (e *Engine) scheduleSelfCheck() {
 	})
 }
 
-// admit processes one arriving transaction, whatever its source: class B
-// ships unconditionally, class A consults the routing strategy. It executes
-// on the home site's shard.
-func (e *Engine) admit(spec *workload.Txn) {
-	site := spec.HomeSite
-	ls := e.sites[site]
-	ls.generated++
-	t := e.newTxnRun(ls, spec)
-	if e.Detailed() {
-		e.emit(trace.Arrive, spec.ID, site, 0, "class "+spec.Class.String())
-	}
-
-	if spec.Class == workload.ClassB {
-		e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, ClassB: true, Shipped: true, Site: site})
-		e.emit(trace.RouteShip, spec.ID, site, 0, "class B")
-		e.remote.ship(t)
-		return
-	}
-	st := e.routingState(site)
-	shipped := e.strategies[site].Decide(st) == routing.Ship
-	e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, Shipped: shipped, Value: st.ViewAge, Site: site})
-	if shipped {
-		e.emit(trace.RouteShip, spec.ID, site, 0, "")
-		e.remote.ship(t)
-		return
-	}
-	e.emit(trace.RouteLocal, spec.ID, site, 0, "")
-	e.local.start(t)
-}
-
 // generatedTotal sums the per-site admission counters.
 func (e *Engine) generatedTotal() uint64 {
 	var n uint64
@@ -441,18 +359,6 @@ func (e *Engine) inFlightShipTotal() uint64 {
 		sent += ls.shipStarted
 	}
 	return sent - e.central.shipArrived
-}
-
-// isCold reports whether a lockspace element is outside the central
-// complex's replicated hot fragment. Offsets are taken within the element's
-// partition; the remainder elements of an uneven split (attached to the last
-// site) sit past its partition size and are always cold.
-func (e *Engine) isCold(elem uint32) bool {
-	site := elem / e.partSize
-	if int(site) >= e.cfg.Sites {
-		site = uint32(e.cfg.Sites - 1)
-	}
-	return elem-site*e.partSize >= e.hotPerPart
 }
 
 // inFlightReplyTotal counts completion replies still travelling to their

@@ -31,9 +31,11 @@ func (e *Engine) checkInvariants() {
 		if ls.inSystem < 0 {
 			panic(fmt.Sprintf("hybrid: negative inSystem at site %d", ls.idx))
 		}
-		if ls.running.Len() != ls.inSystem {
-			panic(fmt.Sprintf("hybrid: site %d running=%d inSystem=%d",
-				ls.idx, ls.running.Len(), ls.inSystem))
+		// running holds the local executions and the arrival records of
+		// shipped transactions still awaiting their reply.
+		if awaiting := ls.shipStarted - ls.replyArrived; uint64(ls.running.Len()) != uint64(ls.inSystem)+awaiting {
+			panic(fmt.Sprintf("hybrid: site %d running=%d inSystem=%d awaiting replies=%d",
+				ls.idx, ls.running.Len(), ls.inSystem, awaiting))
 		}
 		present += uint64(ls.inSystem)
 	}

@@ -13,79 +13,79 @@ import (
 )
 
 // localPath runs class A transactions at their home site.
-type localPath struct{ e *Engine }
+type localPath struct{ c *core }
 
 // start admits a transaction to its home site: transaction initiation +
 // message handling CPU, then the initial I/O (no locks held during either,
 // §3.1).
 func (p localPath) start(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
+	c := p.c
+	ls := c.sites[t.spec.HomeSite]
 	ls.inSystem++
 	ls.running.Put(t.id(), t)
-	ls.cpu.Submit(e.cfg.InstrOverhead, t.conts.setup)
+	ls.cpu.Submit(c.cfg.InstrOverhead, t.conts.setup)
 }
 
 // setupIO runs after the admission CPU burst: the initial I/O, no locks held.
 func (p localPath) setupIO(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
-	scheduleIO(ls.sched, ls.disks, uint32(t.spec.ID), e.cfg.SetupIOTime, t.conts.setupIO)
+	c := p.c
+	ls := c.sites[t.spec.HomeSite]
+	scheduleIO(ls.sched, ls.disks, uint32(t.spec.ID), c.cfg.SetupIOTime, t.conts.setupIO)
 }
 
 // call performs database call i of a locally running transaction: CPU burst,
 // then lock acquisition, then (first run only) the I/O.
 func (p localPath) call(t *txnRun, i int) {
-	e := p.e
-	if i >= e.cfg.CallsPerTxn {
+	c := p.c
+	if i >= c.cfg.CallsPerTxn {
 		p.commit(t)
 		return
 	}
 	t.callIdx = i
-	e.sites[t.spec.HomeSite].cpu.Submit(e.cfg.InstrPerCall, t.conts.call)
+	c.sites[t.spec.HomeSite].cpu.Submit(c.cfg.InstrPerCall, t.conts.call)
 }
 
 // callBody is call callIdx's work after its CPU burst: the lock acquisition.
 func (p localPath) callBody(t *txnRun) {
-	e := p.e
+	c := p.c
 	i := t.callIdx
-	ls := e.sites[t.spec.HomeSite]
+	ls := c.sites[t.spec.HomeSite]
 	elem, mode := t.spec.Elements[i], t.spec.Modes[i]
 	if _, held := ls.locks.Holds(t.id(), elem); held {
 		// Re-run retains locks across a cross-site abort (§3.1).
 		p.afterLock(t, i)
 		return
 	}
-	e.emit(trace.LockRequest, t.spec.ID, ls.idx, elem, mode.String())
+	c.emit(trace.LockRequest, t.spec.ID, ls.idx, elem, mode.String())
 	switch ls.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
 	case lock.Granted:
-		e.emit(trace.LockGranted, t.spec.ID, ls.idx, elem, "")
+		c.emit(trace.LockGranted, t.spec.ID, ls.idx, elem, "")
 		p.afterLock(t, i)
 	case lock.Queued:
 		t.phase = phaseLockWait
 		t.lockWaitFrom = ls.sched.Now()
-		e.emit(trace.LockWaitBegin, t.spec.ID, ls.idx, elem, "")
+		c.emit(trace.LockWaitBegin, t.spec.ID, ls.idx, elem, "")
 	case lock.Deadlock:
-		e.emit(trace.DeadlockAbort, t.spec.ID, ls.idx, elem, "")
+		c.emit(trace.DeadlockAbort, t.spec.ID, ls.idx, elem, "")
 		p.deadlockAbort(t)
 	}
 }
 
 // granted resumes call callIdx after a queued lock request was granted.
 func (p localPath) granted(t *txnRun) {
-	e := p.e
-	e.recordLockWait(t)
-	e.emit(trace.LockGranted, t.spec.ID, e.sites[t.spec.HomeSite].idx, t.spec.Elements[t.callIdx], "")
+	c := p.c
+	c.recordLockWait(t)
+	c.emit(trace.LockGranted, t.spec.ID, c.sites[t.spec.HomeSite].idx, t.spec.Elements[t.callIdx], "")
 	p.afterLock(t, t.callIdx)
 }
 
 func (p localPath) afterLock(t *txnRun, i int) {
-	e := p.e
+	c := p.c
 	if t.attempt == 1 {
 		// First run: fetch the data from disk. Re-runs find all data in
 		// memory (§3.1). conts.io advances to call callIdx+1.
-		ls := e.sites[t.spec.HomeSite]
-		scheduleIO(ls.sched, ls.disks, t.spec.Elements[i], e.cfg.IOTimePerCall, t.conts.io)
+		ls := c.sites[t.spec.HomeSite]
+		scheduleIO(ls.sched, ls.disks, t.spec.Elements[i], c.cfg.IOTimePerCall, t.conts.io)
 		return
 	}
 	p.call(t, i+1)
@@ -96,11 +96,11 @@ func (p localPath) afterLock(t *txnRun, i int) {
 // updated elements, and propagate the updates asynchronously — completing
 // without waiting for the central acknowledgement.
 func (p localPath) commit(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
+	c := p.c
+	ls := c.sites[t.spec.HomeSite]
 	if t.marked {
-		e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Site: ls.idx})
-		e.emit(trace.CrossAbortLocal, t.spec.ID, t.spec.HomeSite, 0, "seized by central commit")
+		c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Site: ls.idx, Txn: t.spec.ID})
+		c.emit(trace.CrossAbortLocal, t.spec.ID, t.spec.HomeSite, 0, "seized by central commit")
 		p.restart(t)
 		return
 	}
@@ -115,14 +115,14 @@ func (p localPath) commit(t *txnRun) {
 		ls.locks.IncrCoherence(elem)
 	}
 	if len(updates) > 0 {
-		if e.Detailed() {
-			e.emit(trace.UpdatePropagated, t.spec.ID, ls.idx, 0, fmt.Sprintf("%d elements", len(updates)))
+		if c.Detailed() {
+			c.emit(trace.UpdatePropagated, t.spec.ID, ls.idx, 0, fmt.Sprintf("%d elements", len(updates)))
 		}
-		e.prop.propagate(ls, updates)
+		c.prop.propagate(ls, t.spec.ID, updates)
 	} else if updates != nil {
 		ls.updFree = append(ls.updFree, updates)
 	}
-	e.emit(trace.CommitLocal, t.spec.ID, t.spec.HomeSite, 0, "")
+	c.emit(trace.CommitLocal, t.spec.ID, t.spec.HomeSite, 0, "")
 
 	now := ls.sched.Now()
 	rt := now - t.arrivedAt
@@ -131,32 +131,32 @@ func (p localPath) commit(t *txnRun) {
 	ls.inSystem--
 	ls.running.Delete(t.id())
 	ls.completed++
-	e.observeAt(now, obs.Event{Kind: obs.TxnLocalCommit, Site: ls.idx, Value: rt})
-	e.recycleTxnRun(t)
+	c.observeAt(now, obs.Event{Kind: obs.TxnLocalCommit, Site: ls.idx, Txn: t.spec.ID, Value: rt, Aux: float64(t.attempt)})
+	c.recycleTxnRun(t)
 }
 
 // restart re-runs a cross-site-aborted local transaction. Locks other than
 // the seized ones are retained (§3.1); data is in memory.
 func (p localPath) restart(t *txnRun) {
-	e := p.e
+	c := p.c
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	if e.Detailed() {
-		e.emit(trace.Rerun, t.spec.ID, t.spec.HomeSite, 0, fmt.Sprintf("attempt %d", t.attempt))
+	if c.Detailed() {
+		c.emit(trace.Rerun, t.spec.ID, t.spec.HomeSite, 0, fmt.Sprintf("attempt %d", t.attempt))
 	}
-	e.sites[t.spec.HomeSite].sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	c.sites[t.spec.HomeSite].sched.Schedule(c.cfg.RestartDelay, t.conts.restart)
 }
 
 // deadlockAbort handles a same-site deadlock: the requester aborts and
 // releases all locks (§4.1), then re-runs.
 func (p localPath) deadlockAbort(t *txnRun) {
-	e := p.e
-	ls := e.sites[t.spec.HomeSite]
-	e.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortDeadlockLocal, Site: ls.idx})
+	c := p.c
+	ls := c.sites[t.spec.HomeSite]
+	c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortDeadlockLocal, Site: ls.idx, Txn: t.spec.ID})
 	ls.locks.ReleaseAll(t.id())
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	ls.sched.Schedule(e.cfg.RestartDelay, t.conts.restart)
+	ls.sched.Schedule(c.cfg.RestartDelay, t.conts.restart)
 }

@@ -24,12 +24,15 @@ const (
 	// MeasureStart opens the measurement window: observers reset or arm
 	// their accumulators at Event.At.
 	MeasureStart Kind = iota + 1
+	// Lifecycle events name their transaction in Txn where there is one.
+	//
 	// TxnArrive is one admitted transaction: ClassB says which class,
 	// Shipped the routing decision (always true for class B), and Value the
 	// staleness of the central-state view at decision time (class A only).
 	TxnArrive
 	// TxnLocalCommit is a class A transaction committing at its home site:
-	// Site is the site index, Value the response time.
+	// Site is the site index, Value the response time, Aux its execution
+	// attempts.
 	TxnLocalCommit
 	// TxnReply is a completion reply delivered at the origin site for a
 	// centrally executed transaction: ClassB says which class, Value the
@@ -37,7 +40,8 @@ const (
 	TxnReply
 	// LockWaitEnd closes one blocking lock wait; Value is its duration.
 	LockWaitEnd
-	// AuthRound is one authentication round opened by a central commit.
+	// AuthRound is one authentication round opened by a central commit;
+	// Value is the number of sites asked.
 	AuthRound
 	// Abort causes, one kind per counter.
 	AbortDeadlockLocal
@@ -49,6 +53,21 @@ const (
 	// (non-replicated) element under partial replication and paid the
 	// configured fetch delay before its lock request; Value is that delay.
 	ColdFetch
+	// ShipArrive is a shipped transaction admitted at the central complex:
+	// Txn is the transaction, Value its home site.
+	ShipArrive
+	// AuthAck and AuthNack are a site's answer to an authentication
+	// request: Site is the answering site, Txn the transaction, Value the
+	// number of elements authenticated.
+	AuthAck
+	AuthNack
+	// CentralCommit is a central execution committing: Txn is the
+	// transaction, Aux its execution attempts.
+	CentralCommit
+	// UpdateApplied is an asynchronous update message applied at the central
+	// complex: Txn is its last committer (0 for an epoch flush), Value the
+	// number of elements, Aux the originating site.
+	UpdateApplied
 	// QueueSample is the periodic (1 Hz simulated) CPU queue observation:
 	// Value is the central queue length, Aux the mean local queue length.
 	QueueSample
@@ -72,6 +91,11 @@ var kindNames = map[Kind]string{
 	AbortCentralNACK:     "abort-central-nack",
 	AbortCentralInval:    "abort-central-inval",
 	ColdFetch:            "cold-fetch",
+	ShipArrive:           "ship-arrive",
+	AuthAck:              "auth-ack",
+	AuthNack:             "auth-nack",
+	CentralCommit:        "central-commit",
+	UpdateApplied:        "update-applied",
 	QueueSample:          "queue-sample",
 	SelfCheck:            "self-check",
 	TraceDetail:          "trace-detail",

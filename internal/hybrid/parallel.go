@@ -125,7 +125,7 @@ func (e *Engine) setupRunMode() {
 	// synchronizer can bound site shards by central's clock alone and let
 	// them coalesce many lookahead windows per round.
 	e.group.SetHub(0)
-	e.network = newShardNet(e.group, sims, shardOf, e.cfg.CommDelay)
+	e.network = newShardNet(e.group, sims, shardOf, e.cfg.CommDelay, e.simReceiver())
 }
 
 // runSharded drives the Group: the global measurement/sample/check chains
@@ -192,9 +192,8 @@ func (e *Engine) armQueueSample(last float64) {
 }
 
 // shardLink is one directed site<->central link of a sharded run. The sent
-// counter is written only by the sending shard's worker, delivered only by
-// the receiving shard's worker (distinct words; the Group's round barrier
-// orders them against the coordinator's reads).
+// counter is written only by the sending shard's worker (the Group's round
+// barrier orders it against the coordinator's reads).
 type shardLink struct {
 	group *sim.Group
 	src   *sim.Simulator // sending shard's clock
@@ -202,17 +201,15 @@ type shardLink struct {
 	to    int            // receiving shard index
 	edge  int            // FIFO edge id (unique per link)
 	delay float64
+	recv  func(Msg, float64)
 
-	sent      uint64
-	delivered uint64
+	sent uint64
 }
 
-func (l *shardLink) send(deliver func()) {
+func (l *shardLink) send(m Msg) {
 	l.sent++
-	l.group.Post(l.from, l.to, l.edge, l.src.Now()+l.delay, func() {
-		l.delivered++
-		deliver()
-	})
+	sentAt := l.src.Now()
+	l.group.Post(l.from, l.to, l.edge, sentAt+l.delay, func() { l.recv(m, sentAt) })
 }
 
 // shardNet is the sharded transport: the same star topology as
@@ -222,41 +219,32 @@ type shardNet struct {
 	down []*shardLink // central -> site i
 }
 
-func newShardNet(g *sim.Group, sims []*sim.Simulator, shardOf []int, delay float64) *shardNet {
+func newShardNet(g *sim.Group, sims []*sim.Simulator, shardOf []int, delay float64, recv func(Msg, float64)) *shardNet {
 	n := len(shardOf)
 	net := &shardNet{up: make([]*shardLink, n), down: make([]*shardLink, n)}
 	for i, sh := range shardOf {
 		net.up[i] = &shardLink{
-			group: g, src: sims[sh], from: sh, to: 0, edge: i, delay: delay,
+			group: g, src: sims[sh], from: sh, to: 0, edge: i, delay: delay, recv: recv,
 		}
 		net.down[i] = &shardLink{
-			group: g, src: sims[0], from: 0, to: sh, edge: n + i, delay: delay,
+			group: g, src: sims[0], from: 0, to: sh, edge: n + i, delay: delay, recv: recv,
 		}
 	}
 	return net
 }
 
-// ToCentral implements transport.
-func (n *shardNet) ToCentral(site int, deliver func()) { n.up[site].send(deliver) }
+// ToCentral implements Transport.
+func (n *shardNet) ToCentral(m Msg) { n.up[m.Site].send(m) }
 
-// ToSite implements transport.
-func (n *shardNet) ToSite(site int, deliver func()) { n.down[site].send(deliver) }
+// ToSite implements Transport.
+func (n *shardNet) ToSite(m Msg) { n.down[m.Site].send(m) }
 
-// MessagesSent implements transport. Call only between rounds or after the
+// MessagesSent implements Transport. Call only between rounds or after the
 // run (the coordinator's view of the link counters).
 func (n *shardNet) MessagesSent() uint64 {
 	var total uint64
 	for i := range n.up {
 		total += n.up[i].sent + n.down[i].sent
-	}
-	return total
-}
-
-// MessagesInFlight implements transport.
-func (n *shardNet) MessagesInFlight() uint64 {
-	var total uint64
-	for i := range n.up {
-		total += (n.up[i].sent - n.up[i].delivered) + (n.down[i].sent - n.down[i].delivered)
 	}
 	return total
 }

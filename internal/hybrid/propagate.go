@@ -2,44 +2,27 @@ package hybrid
 
 // The propagation layer: asynchronous update flow from local commits to the
 // central site (with optional batching), central-side invalidation and
-// application, and the piggybacked central-state snapshots whose feedback
+// application, and the piggybacked central-state views whose feedback
 // routingState consumes.
 
 import (
 	"fmt"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/trace"
 )
 
-// centralSnapshot is the central state as piggybacked on messages to sites.
-type centralSnapshot struct {
-	queue    int
-	inSystem int
-	locks    int
-	at       float64
-}
-
-// refreshView installs a newer central-state snapshot at a local site.
-func (ls *localSite) refreshView(snap centralSnapshot) {
-	if snap.at >= ls.view.at {
-		ls.view = snap
+// refreshView installs a newer view of the central state taken at instant
+// at (the message's send instant).
+func (ls *localSite) refreshView(v View, at float64) {
+	if at >= ls.viewAt {
+		ls.view = v
+		ls.viewAt = at
 	}
 }
 
 // propagator carries committed updates between the tiers.
-type propagator struct{ e *Engine }
-
-// snapshotCentral captures the central state for piggybacking on a message
-// being sent now (always from the central shard).
-func (p propagator) snapshotCentral() centralSnapshot {
-	e := p.e
-	return centralSnapshot{
-		queue:    e.central.cpu.QueueLength(),
-		inSystem: e.central.inSystem,
-		locks:    e.central.locks.LocksHeld(),
-		at:       e.central.sched.Now(),
-	}
-}
+type propagator struct{ c *core }
 
 // propagate ships a committed transaction's updates to the central site —
 // immediately, batched per Config.UpdateBatchWindow, or accumulated to the
@@ -50,13 +33,12 @@ func (p propagator) snapshotCentral() centralSnapshot {
 // Propagate owns the updates slice it is handed: an unbatched send parks it
 // in the message and the acknowledgement returns it to the site's pool; a
 // batched send folds it into the pending batch and frees it immediately.
-func (p propagator) propagate(ls *localSite, updates []uint32) {
-	e := p.e
-	site := ls.idx
+func (p propagator) propagate(ls *localSite, txn int64, updates []uint32) {
+	c := p.c
 	switch {
-	case e.cfg.UpdateBatchWindow > 0:
-		p.buffer(ls, updates, e.cfg.UpdateBatchWindow)
-	case e.cfg.EpochLength > 0:
+	case c.cfg.UpdateBatchWindow > 0:
+		p.buffer(ls, txn, updates, c.cfg.UpdateBatchWindow)
+	case c.cfg.EpochLength > 0:
 		// Epoch-batched (STAR-style) propagation: accumulate only. The
 		// global epoch ticker (engine.go scheduleEpochFlush / parallel.go
 		// armEpochFlush) drains every site's pending batch at each boundary,
@@ -66,7 +48,7 @@ func (p propagator) propagate(ls *localSite, updates []uint32) {
 		// queue in one deterministic order in both run modes.
 		p.stash(ls, updates)
 	default:
-		e.network.ToCentral(site, func() { p.centralApply(site, updates) })
+		c.network.ToCentral(Msg{Kind: MsgUpdate, Site: ls.idx, Txn: txn, Elems: updates})
 	}
 }
 
@@ -81,11 +63,11 @@ func (p propagator) stash(ls *localSite, updates []uint32) {
 }
 
 // buffer stashes one commit's updates and, on the batch's first commit,
-// schedules the flush after the given delay (the batch-window mode).
-func (p propagator) buffer(ls *localSite, updates []uint32, delay float64) {
-	e := p.e
-	site := ls.idx
+// schedules the flush after the given delay on the site's own executor (the
+// batch-window mode). The flushed message names the batch's last committer.
+func (p propagator) buffer(ls *localSite, txn int64, updates []uint32, delay float64) {
 	p.stash(ls, updates)
+	ls.lastBatched = txn
 	if ls.flushPending {
 		return
 	}
@@ -94,7 +76,7 @@ func (p propagator) buffer(ls *localSite, updates []uint32, delay float64) {
 		batch := ls.pendingUpdates
 		ls.pendingUpdates = nil
 		ls.flushPending = false
-		e.network.ToCentral(site, func() { p.centralApply(site, batch) })
+		p.c.network.ToCentral(Msg{Kind: MsgUpdate, Site: ls.idx, Txn: ls.lastBatched, Elems: batch})
 	})
 }
 
@@ -104,15 +86,13 @@ func (p propagator) buffer(ls *localSite, updates []uint32, delay float64) {
 // and walks sites in ascending index, which is exactly the (edge index) order
 // the sharded round merge gives the resulting same-instant central arrivals.
 func (p propagator) flushEpoch() {
-	e := p.e
-	for _, ls := range e.sites {
+	for _, ls := range p.c.sites {
 		if len(ls.pendingUpdates) == 0 {
 			continue
 		}
 		batch := ls.pendingUpdates
 		ls.pendingUpdates = nil
-		site := ls.idx
-		e.network.ToCentral(site, func() { p.centralApply(site, batch) })
+		p.c.network.ToCentral(Msg{Kind: MsgUpdate, Site: ls.idx, Elems: batch})
 	}
 }
 
@@ -120,49 +100,55 @@ func (p propagator) flushEpoch() {
 // invalidate central locks on the updated elements (mark holders for abort),
 // install the update, and acknowledge so the site can lower its coherence
 // counts.
-func (p propagator) centralApply(site int, updates []uint32) {
-	e := p.e
-	if e.cfg.UpdateProcInstr > 0 {
+func (p propagator) centralApply(m Msg) {
+	if p.c.cfg.UpdateProcInstr > 0 {
 		// Message handling consumes central CPU before the update applies
 		// (per message, which is what batching amortises).
-		e.central.cpu.Submit(e.cfg.UpdateProcInstr, func() { p.applyNow(site, updates) })
+		p.c.central.cpu.Submit(p.c.cfg.UpdateProcInstr, func() { p.applyNow(m) })
 		return
 	}
-	p.applyNow(site, updates)
+	p.applyNow(m)
 }
 
 // applyNow performs the §2 invalidate-apply-acknowledge step of an
 // asynchronous update message.
-func (p propagator) applyNow(site int, updates []uint32) {
-	e := p.e
-	for _, elem := range updates {
-		// Central-shard scratch walk; HoldersAppend copies the IDs out, so
-		// the releases below cannot invalidate the iteration.
-		e.central.holdersBuf = e.central.locks.HoldersAppend(elem, e.central.holdersBuf[:0])
-		for _, holder := range e.central.holdersBuf {
-			if vt, ok := e.central.running.Get(holder); ok {
+func (p propagator) applyNow(m Msg) {
+	c := p.c
+	cs := c.central
+	for _, elem := range m.Elems {
+		// Central-partition scratch walk; HoldersAppend copies the IDs out,
+		// so the releases below cannot invalidate the iteration.
+		cs.holdersBuf = cs.locks.HoldersAppend(elem, cs.holdersBuf[:0])
+		for _, holder := range cs.holdersBuf {
+			if vt, ok := cs.running.Get(holder); ok {
 				vt.marked = true
 			}
-			e.central.locks.Release(holder, elem)
+			cs.locks.Release(holder, elem)
 		}
 	}
-	if e.Detailed() {
-		e.emit(trace.UpdateApplied, 0, -1, 0, fmt.Sprintf("%d elements from site %d", len(updates), site))
+	if c.Detailed() {
+		c.emit(trace.UpdateApplied, 0, -1, 0, fmt.Sprintf("%d elements from site %d", len(m.Elems), m.Site))
 	}
-	snap := p.snapshotCentral()
-	e.network.ToSite(site, func() {
-		ls := e.sites[site]
-		if e.cfg.Feedback == FeedbackAllMessages {
-			ls.refreshView(snap)
-		}
-		for _, elem := range updates {
-			ls.locks.DecrCoherence(elem)
-		}
-		e.emit(trace.UpdateAcked, 0, site, 0, "")
-		// The acknowledgement executes on the originating site's shard, so
-		// it can hand the update buffer back to that site's pool.
-		if updates != nil {
-			ls.updFree = append(ls.updFree, updates)
-		}
-	})
+	c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.UpdateApplied, Site: -1, Txn: m.Txn,
+		Value: float64(len(m.Elems)), Aux: float64(m.Site)})
+	c.network.ToSite(Msg{Kind: MsgUpdateAck, Site: m.Site, Elems: m.Elems, View: c.commit.view()})
+}
+
+// acked lowers the coherence counts of an acknowledged update at its
+// originating site.
+func (p propagator) acked(m Msg, sentAt float64) {
+	c := p.c
+	ls := c.sites[m.Site]
+	if c.cfg.Feedback == FeedbackAllMessages {
+		ls.refreshView(m.View, sentAt)
+	}
+	for _, elem := range m.Elems {
+		ls.locks.DecrCoherence(elem)
+	}
+	c.emit(trace.UpdateAcked, 0, m.Site, 0, "")
+	// The acknowledgement executes on the originating site's partition, so
+	// it can hand the update buffer back to that site's pool.
+	if m.Elems != nil {
+		ls.updFree = append(ls.updFree, m.Elems)
+	}
 }

@@ -24,13 +24,18 @@ type localSite struct {
 	disks []*cpu.Server // empty: pure-delay I/O (the paper's assumption)
 	locks *lock.Manager
 
-	inSystem int                            // n_i: class A transactions present
-	running  *flatmap.Map[lock.ID, *txnRun] // transactions executing here
+	inSystem int // n_i: class A transactions present
+	// running holds the runs this site owns: class A transactions executing
+	// here, and shipped transactions awaiting their completion reply (found
+	// by ID when it arrives).
+	running *flatmap.Map[lock.ID, *txnRun]
 
 	shippedOut int // class A transactions currently shipped from here
 
-	// Stale view of the central state, refreshed per the Feedback mode.
-	view centralSnapshot
+	// Stale view of the central state and the instant it was taken,
+	// refreshed per the Feedback mode.
+	view   View
+	viewAt float64
 
 	lastLocalRT   float64
 	lastShippedRT float64
@@ -39,13 +44,14 @@ type localSite struct {
 	// (Config.UpdateBatchWindow > 0).
 	pendingUpdates []uint32
 	flushPending   bool
+	lastBatched    int64 // the pending batch's last committer
 
 	busyAtWarmup float64
 
 	// txnFree recycles txnRun objects across this site's transactions. The
 	// pool is per site (not per engine) so a sharded run never contends on
-	// it: a run is taken at its home site and returns there — after a trip
-	// through the central complex, ownership travels back with the reply.
+	// it: a run is taken at its home site and returns there when the
+	// transaction completes (a local commit, or the reply of a shipped one).
 	txnFree []*txnRun
 
 	// specFree recycles workload.Txn specs the same way (generator runs only,
@@ -86,6 +92,11 @@ type centralSite struct {
 
 	inSystem int // n_c: transactions present (class B + shipped class A)
 	running  *flatmap.Map[lock.ID, *txnRun]
+
+	// txnFree recycles the central executions' runs. A shipped transaction
+	// has one run at its home site (its arrival record) and one here (its
+	// execution); neither crosses the network.
+	txnFree []*txnRun
 
 	busyAtWarmup float64
 
@@ -140,8 +151,8 @@ func scheduleIO(s exec.Dispatch, disks []*cpu.Server, elem uint32, seconds float
 
 // routingState assembles the strategy's view at the arrival site: local
 // fields observed directly, central fields from the site's (possibly stale)
-// snapshot unless the feedback mode is ideal.
-func (e *Engine) routingState(site int) routing.State {
+// view unless the feedback mode is ideal.
+func (e *core) routingState(site int) routing.State {
 	ls := e.sites[site]
 	st := routing.State{
 		Now:           ls.sched.Now(),
@@ -158,10 +169,10 @@ func (e *Engine) routingState(site int) routing.State {
 		st.CentralLocks = e.central.locks.LocksHeld()
 		st.ViewAge = 0
 	} else {
-		st.CentralQueue = ls.view.queue
-		st.CentralInSystem = ls.view.inSystem
-		st.CentralLocks = ls.view.locks
-		st.ViewAge = ls.sched.Now() - ls.view.at
+		st.CentralQueue = ls.view.Queue
+		st.CentralInSystem = ls.view.InSystem
+		st.CentralLocks = ls.view.Locks
+		st.ViewAge = ls.sched.Now() - ls.viewAt
 	}
 	return st
 }

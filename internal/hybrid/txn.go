@@ -20,13 +20,16 @@ const (
 	phaseLockWait
 	phaseAuthWait
 	phaseDone
+	phaseShipped // a shipped transaction's arrival record at its home site
 )
 
-// txnRun is the runtime state of one transaction.
+// txnRun is the runtime state of one transaction at one partition: its
+// execution at the home site or the central complex, or — for a shipped
+// transaction — its arrival record at the home site.
 type txnRun struct {
 	spec      *workload.Txn
 	arrivedAt float64
-	shipped   bool // executing at the central site
+	shipped   bool // a central execution (fixed per pooled object)
 	attempt   int  // 1 on the first execution
 	phase     txnPhase
 
@@ -48,9 +51,8 @@ type txnRun struct {
 	// conts holds the run's pre-bound continuations, allocated once per
 	// pooled object and preserved across recycling. The per-call hot path
 	// (CPU burst -> lock acquisition -> I/O, times CallsPerTxn) schedules
-	// only these stored funcs, so it allocates no closures; each dispatches
-	// on t.shipped, which is fixed for the whole execution attempt before
-	// any continuation is scheduled.
+	// only these stored funcs, so it allocates no closures. A pooled object
+	// serves one tier for life, so they are bound to that tier's path.
 	conts txnConts
 }
 
@@ -67,97 +69,69 @@ type txnConts struct {
 
 func (t *txnRun) id() lock.ID { return lock.ID(t.spec.ID) }
 
-// newTxnRun takes a run object off the home site's free list (or allocates
-// the pool's first generation) and initializes it for an arriving
-// transaction. The pool is per site so a sharded run never contends on it;
-// a run's ownership follows the transaction (home shard, then central's on
-// a shipped execution, then back home with the completion reply).
-func (e *Engine) newTxnRun(ls *localSite, spec *workload.Txn) *txnRun {
+// takeRun pops a run off a pool (or allocates the pool's first generation
+// with continuations bound to the given tier) and initializes it for spec.
+// Pools are per partition, so a sharded run never contends on one.
+func (c *core) takeRun(pool *[]*txnRun, shipped bool, spec *workload.Txn, now float64) *txnRun {
 	var t *txnRun
-	if n := len(ls.txnFree); n > 0 {
-		t = ls.txnFree[n-1]
-		ls.txnFree = ls.txnFree[:n-1]
+	if n := len(*pool); n > 0 {
+		t = (*pool)[n-1]
+		*pool = (*pool)[:n-1]
 		seized := t.authSeized[:0]
 		conts := t.conts
 		*t = txnRun{authSeized: seized, conts: conts}
 	} else {
 		t = &txnRun{}
-		e.bindContinuations(t)
+		c.bindContinuations(t, shipped)
 	}
+	t.shipped = shipped
 	t.spec = spec
-	t.arrivedAt = ls.sched.Now()
+	t.arrivedAt = now
 	t.attempt = 1
 	t.phase = phaseSetup
 	return t
 }
 
 // bindContinuations allocates a run's lifecycle continuations, once per
-// pooled object. Each dispatches to the execution path chosen for the
-// current attempt via t.shipped: admit() fixes it before the first
-// continuation is scheduled, and restarts never change tiers.
-func (e *Engine) bindContinuations(t *txnRun) {
-	local, central := e.local, e.remote
+// pooled object, on the execution path of its tier.
+func (c *core) bindContinuations(t *txnRun, shipped bool) {
+	if shipped {
+		p := c.remote
+		t.conts = txnConts{
+			setup:   func() { p.setupIO(t) },
+			setupIO: func() { t.phase = phaseExecuting; p.call(t, 0) },
+			call:    func() { p.callBody(t) },
+			grant:   func() { p.granted(t) },
+			io:      func() { p.call(t, t.callIdx+1) },
+			restart: func() { p.call(t, 0) },
+			fetched: func() { p.lockBody(t) },
+		}
+		return
+	}
+	// Cold fetches happen only on the central path (the local path reads
+	// its own partition's primary copy), so a local run has no fetched.
+	p := c.local
 	t.conts = txnConts{
-		setup: func() {
-			if t.shipped {
-				central.setupIO(t)
-			} else {
-				local.setupIO(t)
-			}
-		},
-		setupIO: func() {
-			t.phase = phaseExecuting
-			if t.shipped {
-				central.call(t, 0)
-			} else {
-				local.call(t, 0)
-			}
-		},
-		call: func() {
-			if t.shipped {
-				central.callBody(t)
-			} else {
-				local.callBody(t)
-			}
-		},
-		grant: func() {
-			if t.shipped {
-				central.granted(t)
-			} else {
-				local.granted(t)
-			}
-		},
-		io: func() {
-			if t.shipped {
-				central.call(t, t.callIdx+1)
-			} else {
-				local.call(t, t.callIdx+1)
-			}
-		},
-		restart: func() {
-			if t.shipped {
-				central.call(t, 0)
-			} else {
-				local.call(t, 0)
-			}
-		},
-		// Cold fetches happen only on the central path (the local path reads
-		// its own partition's primary copy), so no dispatch on t.shipped.
-		fetched: func() { central.lockBody(t) },
+		setup:   func() { p.setupIO(t) },
+		setupIO: func() { t.phase = phaseExecuting; p.call(t, 0) },
+		call:    func() { p.callBody(t) },
+		grant:   func() { p.granted(t) },
+		io:      func() { p.call(t, t.callIdx+1) },
+		restart: func() { p.call(t, 0) },
 	}
 }
 
-// recycleTxnRun returns a completed run to its home site's pool. Callers
-// must guarantee no live reference remains — the run is off every running
-// map and every closure that could still fire captures the transaction ID
-// by value, never the run object — and, in a sharded run, that the call
-// executes on the home shard (completion always does: local commits finish
-// at home, shipped commits recycle in the delivered reply).
-func (e *Engine) recycleTxnRun(t *txnRun) {
-	ls := e.sites[t.spec.HomeSite]
-	if e.replayTxns == nil {
+// recycleTxnRun returns a completed home-site run to its pool. Callers
+// must guarantee no live reference remains — the run is off the running
+// map and every message still in flight names the transaction by ID — and,
+// in a sharded run, that the call executes on the home shard (completion
+// always does: local commits finish at home, shipped ones with the reply).
+func (c *core) recycleTxnRun(t *txnRun) {
+	ls := c.sites[t.spec.HomeSite]
+	if c.recycleSpecs {
 		// Generator-produced specs are pooled for NextInto; replayed specs
-		// belong to the SetTrace caller and must survive the run.
+		// belong to the SetTrace caller and must survive the run. The
+		// central execution released its reference before the reply left.
 		ls.specFree = append(ls.specFree, t.spec)
 	}
 	t.spec = nil
@@ -169,7 +143,7 @@ func (e *Engine) recycleTxnRun(t *txnRun) {
 // partition whose lock table blocked the transaction — the central complex
 // for shipped executions, the home site otherwise — and stamped with that
 // partition's clock (the one the closing event runs on).
-func (e *Engine) recordLockWait(t *txnRun) {
+func (e *core) recordLockWait(t *txnRun) {
 	if t.phase == phaseLockWait {
 		if t.shipped {
 			now := e.central.sched.Now()

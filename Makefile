@@ -9,7 +9,7 @@ BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid
 # Fuzz targets of the correctness harness (DESIGN.md §11); FUZZTIME bounds
 # each target's smoke budget.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest FuzzDecode:./internal/netx
+FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest FuzzDecode:./internal/netx FuzzFrame:./internal/netx
 
 .PHONY: all build test vet staticcheck race race-stress smoke bench-smoke simtest fuzz-smoke cluster-smoke check bench figures
 

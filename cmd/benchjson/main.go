@@ -23,12 +23,14 @@ import (
 	"strings"
 )
 
-// Measurement is one benchmark's figures.
+// Measurement is one benchmark's figures. Metrics holds the custom ones a
+// benchmark reports with b.ReportMetric (and MB/s), keyed by unit.
 type Measurement struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BytesPerOp  float64            `json:"bytes_per_op"`
+	AllocsPerOp float64            `json:"allocs_per_op"`
+	Iterations  int64              `json:"iterations"`
+	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Entry is one benchmark in the summary, with an optional baseline and the
@@ -71,14 +73,16 @@ type Summary struct {
 	Benchmarks  []Entry      `json:"benchmarks"`
 }
 
-// benchLine matches e.g.
+// benchLine matches a result line — name, iteration count, then
+// "value unit" pairs in any order — e.g.
 //
 //	BenchmarkScheduleStep-8   12345678   95.2 ns/op   0 B/op   0 allocs/op
+//	BenchmarkEngine-8   10   9.1e+07 ns/op   5.0 txns/op   1234 B/op   56 allocs/op
 //
 // The -N GOMAXPROCS suffix is stripped from the key so runs from machines
 // with different core counts still line up against a baseline; its value
 // feeds the host fingerprint instead.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.]+) B/op)?(?:\s+([\d.]+) allocs/op)?`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.*)$`)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
@@ -248,16 +252,29 @@ func parseBench(r io.Reader) (map[string]Measurement, []string, hostInfo, error)
 		if err != nil {
 			return nil, nil, host, fmt.Errorf("bad iteration count in %q", line)
 		}
-		ns, err := strconv.ParseFloat(m[4], 64)
-		if err != nil {
-			return nil, nil, host, fmt.Errorf("bad ns/op in %q", line)
+		meas := Measurement{Iterations: iters}
+		fields := strings.Fields(m[4])
+		if len(fields)%2 != 0 {
+			return nil, nil, host, fmt.Errorf("unpaired value/unit in %q", line)
 		}
-		meas := Measurement{NsPerOp: ns, Iterations: iters}
-		if m[5] != "" {
-			meas.BytesPerOp, _ = strconv.ParseFloat(m[5], 64)
-		}
-		if m[6] != "" {
-			meas.AllocsPerOp, _ = strconv.ParseFloat(m[6], 64)
+		for i := 0; i < len(fields); i += 2 {
+			v, err := strconv.ParseFloat(fields[i], 64)
+			if err != nil {
+				return nil, nil, host, fmt.Errorf("bad %s value in %q", fields[i+1], line)
+			}
+			switch unit := fields[i+1]; unit {
+			case "ns/op":
+				meas.NsPerOp = v
+			case "B/op":
+				meas.BytesPerOp = v
+			case "allocs/op":
+				meas.AllocsPerOp = v
+			default:
+				if meas.Metrics == nil {
+					meas.Metrics = make(map[string]float64)
+				}
+				meas.Metrics[unit] = v
+			}
 		}
 		key := m[1]
 		if pkg != "" {

@@ -180,3 +180,25 @@ func TestEmptyInputFails(t *testing.T) {
 		t.Fatal("empty input did not error")
 	}
 }
+
+// TestCustomMetricKeepsAllocs parses a benchmark that reports a custom
+// metric between ns/op and B/op: the allocation figures and the metric
+// must all be recorded.
+func TestCustomMetricKeepsAllocs(t *testing.T) {
+	in := "pkg: hybriddb/internal/hybrid\n" +
+		"BenchmarkEngineSequential-2   \t      12\t  91000000 ns/op\t         5.0 txns/op\t    1234 B/op\t      56 allocs/op\n"
+	got, order, _, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != 1 {
+		t.Fatalf("parsed %d benchmarks, want 1", len(order))
+	}
+	m := got[order[0]]
+	if m.NsPerOp != 91000000 || m.BytesPerOp != 1234 || m.AllocsPerOp != 56 || m.Iterations != 12 {
+		t.Errorf("measurement = %+v", m)
+	}
+	if m.Metrics["txns/op"] != 5 || len(m.Metrics) != 1 {
+		t.Errorf("custom metrics = %v, want txns/op 5", m.Metrics)
+	}
+}

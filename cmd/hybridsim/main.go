@@ -39,24 +39,18 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hybridsim", flag.ContinueOnError)
+	def := hybrid.DefaultConfig()
+	cf := hybrid.RegisterConfigFlags(fs, def)
+	// The run's own Config knobs, applied like the shared ones: only when
+	// passed, over the defaults or the preset.
+	hybrid.BindFlag(cf, "warmup", "warmup period discarded from statistics (s)", func(c *hybrid.Config) *float64 { return &c.Warmup }, fs.Float64Var)
+	hybrid.BindFlag(cf, "duration", "measured simulated duration (s)", func(c *hybrid.Config) *float64 { return &c.Duration }, fs.Float64Var)
+	hybrid.BindFlag(cf, "epoch", "epoch length for batched update propagation, seconds (0 = per-commit async)", func(c *hybrid.Config) *float64 { return &c.EpochLength }, fs.Float64Var)
+	hybrid.BindFlag(cf, "selfcheck", "run simulator invariant checks (slower)", func(c *hybrid.Config) *bool { return &c.SelfCheck }, fs.BoolVar)
+	hybrid.BindFlag(cf, "shards", "event-queue shards for the parallel core (0/1 = sequential); results are bit-identical either way", func(c *hybrid.Config) *int { return &c.Shards }, fs.IntVar)
 	var (
 		preset   = fs.String("preset", "", "named configuration preset: "+strings.Join(presetNames(), ", ")+"; explicit flags override preset values")
-		rate     = fs.Float64("rate", 1.0, "arrival rate per site (txn/s)")
-		delay    = fs.Float64("delay", 0.2, "one-way communications delay (s)")
-		sites    = fs.Int("sites", 10, "number of local sites")
 		strategy = fs.String("strategy", "best", "routing strategy: "+strings.Join(experiments.StrategyNames(), ", "))
-		seed     = fs.Uint64("seed", 1, "random seed")
-		warmup   = fs.Float64("warmup", 200, "warmup period discarded from statistics (s)")
-		duration = fs.Float64("duration", 800, "measured simulated duration (s)")
-		pwrite   = fs.Float64("pwrite", 0.25, "probability a lock request is exclusive")
-		plocal   = fs.Float64("plocal", 0.75, "fraction of class A (local-data) transactions")
-		feedback = fs.String("feedback", "auth-only", "central-state feedback: auth-only, all-messages, ideal")
-		skew     = fs.Float64("skew", 0, "Zipf exponent of the lock-reference distribution (0 = uniform)")
-		hotFrac  = fs.Float64("hot-fraction", 1, "fraction of each partition replicated at central (1 = full replication)")
-		coldF    = fs.Float64("cold-fetch", 0, "seconds a central execution waits to fetch a cold element (first run only)")
-		epoch    = fs.Float64("epoch", 0, "epoch length for batched update propagation, seconds (0 = per-commit async)")
-		check    = fs.Bool("selfcheck", false, "run simulator invariant checks (slower)")
-		shards   = fs.Int("shards", 0, "event-queue shards for the parallel core (0/1 = sequential); results are bit-identical either way")
 		parallel = fs.Int("parallel", 0, "worker goroutines for replications (0 = GOMAXPROCS); affects speed only, never results")
 		cpuprof  = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprof  = fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
@@ -72,62 +66,15 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg := hybrid.DefaultConfig()
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	cfg := def
 	if *preset != "" {
-		p, err := applyPreset(*preset, &cfg)
-		if err != nil {
+		if err := applyPreset(*preset, &cfg); err != nil {
 			return err
 		}
-		// Preset values yield to explicitly passed flags below; flags the
-		// user did not pass keep the preset's choices instead of their
-		// defaults.
-		if !set["rate"] {
-			*rate = cfg.ArrivalRatePerSite
-		}
-		if !set["delay"] {
-			*delay = cfg.CommDelay
-		}
-		if !set["sites"] {
-			*sites = cfg.Sites
-		}
-		if !set["warmup"] {
-			*warmup = cfg.Warmup
-		}
-		if !set["duration"] {
-			*duration = cfg.Duration
-		}
-		if !set["shards"] {
-			*shards = p.shards
-		}
 	}
-	cfg.ArrivalRatePerSite = *rate
-	cfg.CommDelay = *delay
-	cfg.Sites = *sites
-	cfg.Seed = *seed
-	cfg.Warmup = *warmup
-	cfg.Duration = *duration
-	cfg.PWrite = *pwrite
-	cfg.PLocal = *plocal
-	cfg.SkewTheta = *skew
-	cfg.CentralHotFraction = *hotFrac
-	cfg.ColdFetchDelay = *coldF
-	cfg.EpochLength = *epoch
-	cfg.SelfCheck = *check
-	if *shards < 0 {
-		return fmt.Errorf("-shards must be non-negative (0 or 1 runs sequentially), got %d", *shards)
-	}
-	cfg.Shards = *shards
-	switch *feedback {
-	case "auth-only":
-		cfg.Feedback = hybrid.FeedbackAuthOnly
-	case "all-messages":
-		cfg.Feedback = hybrid.FeedbackAllMessages
-	case "ideal":
-		cfg.Feedback = hybrid.FeedbackIdeal
-	default:
-		return fmt.Errorf("unknown feedback mode %q", *feedback)
+	cfg = cf.Apply(cfg)
+	if cfg.Shards < 0 {
+		return fmt.Errorf("-shards must be non-negative (0 or 1 runs sequentially), got %d", cfg.Shards)
 	}
 
 	if *maniOut != "" {
@@ -183,9 +130,9 @@ func run(args []string, out io.Writer) error {
 		if *spansOut != "" {
 			return fmt.Errorf("-spans records a single run; drop -replications")
 		}
-		if *shards > 1 {
+		if cfg.Shards > 1 {
 			if s := shardFallbackReason(cfg); s != "" {
-				fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, running sequentially: %s\n", *shards, s)
+				fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, running sequentially: %s\n", cfg.Shards, s)
 			}
 		}
 		// Ctrl-C / SIGTERM stops dispatching further replications; the ones
@@ -245,12 +192,12 @@ func run(args []string, out io.Writer) error {
 		engine.Subscribe(collector)
 	}
 	r := engine.Run()
-	if *shards > 1 && !engine.Parallel() {
+	if cfg.Shards > 1 && !engine.Parallel() {
 		reason := "an external observer is attached (-spans needs the single ordered event stream)"
 		if s := shardFallbackReason(cfg); s != "" {
 			reason = s
 		}
-		fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, ran sequentially: %s\n", *shards, reason)
+		fmt.Fprintf(os.Stderr, "hybridsim: note: -shards %d ignored, ran sequentially: %s\n", cfg.Shards, reason)
 	}
 	if collector != nil {
 		if err := collector.WriteFile(*spansOut); err != nil {
@@ -276,7 +223,7 @@ func run(args []string, out io.Writer) error {
 	defer tw.Flush()
 	fmt.Fprintf(tw, "strategy\t%s\n", r.Strategy)
 	fmt.Fprintf(tw, "offered load\t%.1f tps total (%.2f/site x %d sites)\n",
-		*rate*float64(*sites), *rate, *sites)
+		cfg.ArrivalRatePerSite*float64(cfg.Sites), cfg.ArrivalRatePerSite, cfg.Sites)
 	fmt.Fprintf(tw, "throughput\t%.2f tps\n", r.Throughput)
 	fmt.Fprintf(tw, "mean response time\t%.3f s (p95 %.3f s)\n", r.MeanRT, r.P95RT)
 	fmt.Fprintf(tw, "  percentiles\tp50 %.3f, p90 %.3f, p95 %.3f, p99 %.3f s\n",
@@ -295,16 +242,11 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-// presetExtras carries preset choices that live outside hybrid.Config.
-type presetExtras struct {
-	shards int // default for -shards when the flag is not passed
-}
-
 func presetNames() []string { return []string{"scale1000"} }
 
 // applyPreset overwrites cfg with a named preset's values. Flags the user
-// passed explicitly still win — run() re-applies them after the preset.
-func applyPreset(name string, cfg *hybrid.Config) (presetExtras, error) {
+// passed explicitly still win — run() applies them over the preset.
+func applyPreset(name string, cfg *hybrid.Config) error {
 	switch name {
 	case "scale1000":
 		// The paper's §4.1 system scaled 100x: 1000 local sites with the
@@ -320,9 +262,10 @@ func applyPreset(name string, cfg *hybrid.Config) (presetExtras, error) {
 		cfg.Lockspace = 3_276_800
 		cfg.Warmup = 200
 		cfg.Duration = 9800
-		return presetExtras{shards: runtime.GOMAXPROCS(0)}, nil
+		cfg.Shards = runtime.GOMAXPROCS(0)
+		return nil
 	}
-	return presetExtras{}, fmt.Errorf("unknown preset %q (presets: %s)", name, strings.Join(presetNames(), ", "))
+	return fmt.Errorf("unknown preset %q (presets: %s)", name, strings.Join(presetNames(), ", "))
 }
 
 // shardFallbackReason names the configuration property that forces the

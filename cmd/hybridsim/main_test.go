@@ -50,6 +50,24 @@ func TestRunProducesReport(t *testing.T) {
 	}
 }
 
+// TestRunSharedConfigFlags: hybridsim takes the whole shared config flag
+// set, and a knob changed by flag changes the run.
+func TestRunSharedConfigFlags(t *testing.T) {
+	base := []string{"-rate", "1.0", "-warmup", "10", "-duration", "40", "-strategy", "none"}
+	var plain, tuned bytes.Buffer
+	if err := run(base, &plain); err != nil {
+		t.Fatal(err)
+	}
+	err := run(append(base, "-calls", "5", "-lockspace", "5000", "-mips-central", "20",
+		"-instr-call", "20000", "-io-call", "0.02", "-restart-delay", "0.01"), &tuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.String() == tuned.String() {
+		t.Error("shared config flags did not change the run")
+	}
+}
+
 func TestRunAllStrategySpecs(t *testing.T) {
 	for _, spec := range []string{"none", "static:0.3", "queue-length", "threshold:-0.2"} {
 		spec := spec

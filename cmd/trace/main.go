@@ -27,7 +27,6 @@ import (
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/obsx/spans"
 	"hybriddb/internal/report"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
@@ -222,9 +221,9 @@ func follow(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ring := trace.NewRing(*events)
+	ring := obs.NewRing(*events)
 	ring.FilterTxn(*txnID)
-	engine.Subscribe(obs.NewTracer(ring))
+	engine.Subscribe(ring)
 	engine.Run()
 	if len(ring.Events()) == 0 {
 		return fmt.Errorf("transaction %d produced no events (did it arrive within the run?)", *txnID)

@@ -43,7 +43,7 @@ type node struct {
 
 	// Loop-confined tallies: bus events by kind, messages sent, and sends
 	// lost by frame type.
-	events     [obs.TraceDetail + 1]uint64
+	events     [obs.NumKinds]uint64
 	sent       uint64
 	sendFailed [netx.MsgHelloAck + 1]uint64
 

@@ -124,8 +124,13 @@ func NewLoop() *Loop {
 	return l
 }
 
+// run executes the queue in batches: it takes every queued closure under
+// the lock, leaving its spare slice for new posts, and runs them in order.
+// Closures posted meanwhile (from the batch itself, or from elsewhere) land
+// in the next batch, after the current one, so the order stays FIFO.
 func (l *Loop) run() {
 	defer close(l.done)
+	var batch []func()
 	for {
 		l.mu.Lock()
 		for len(l.queue) == 0 && !l.stopped {
@@ -135,12 +140,12 @@ func (l *Loop) run() {
 			l.mu.Unlock()
 			return
 		}
-		fn := l.queue[0]
-		copy(l.queue, l.queue[1:])
-		l.queue[len(l.queue)-1] = nil
-		l.queue = l.queue[:len(l.queue)-1]
+		batch, l.queue = l.queue, batch[:0]
 		l.mu.Unlock()
-		fn()
+		for i, fn := range batch {
+			batch[i] = nil
+			fn()
+		}
 	}
 }
 

@@ -65,6 +65,47 @@ func TestLoopPostFromLoop(t *testing.T) {
 	}
 }
 
+// TestLoopMixedPostsRunInPostOrder posts from an outside goroutine and
+// from inside running closures at once: whatever the interleaving, the
+// closures run in the order their posts were accepted.
+func TestLoopMixedPostsRunInPostOrder(t *testing.T) {
+	l := NewLoop()
+	var (
+		mu   sync.Mutex // makes taking a sequence number and posting atomic
+		next int
+		ran  []int // loop-confined
+	)
+	var post func(nested int)
+	post = func(nested int) {
+		mu.Lock()
+		defer mu.Unlock()
+		seq := next
+		next++
+		l.Post(func() {
+			ran = append(ran, seq)
+			if nested > 0 {
+				post(nested - 1)
+			}
+		})
+	}
+	total := 0
+	for i := 0; i < 200; i++ {
+		post(i % 3)
+		total += 1 + i%3
+	}
+	// Nested posts may still be in flight; flush until all have run.
+	count := make(chan int)
+	for n := 0; n < total; n = <-count {
+		l.Post(func() { count <- len(ran) })
+	}
+	l.Stop()
+	for i, seq := range ran {
+		if seq != i {
+			t.Fatalf("closure %d ran at position %d: %v", seq, i, ran)
+		}
+	}
+}
+
 func TestLoopScheduleDelay(t *testing.T) {
 	l := NewLoop()
 	defer l.Stop()

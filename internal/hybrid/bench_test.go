@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hybriddb/internal/routing"
-	"hybriddb/internal/trace"
 )
 
 // benchConfig is a short but non-trivial run: contended enough that the
@@ -41,17 +40,17 @@ func benchRun(b *testing.B, wire func(*Engine)) {
 }
 
 // BenchmarkEngineObserversOff measures the hot loop with no optional
-// instrumentation attached: no tracer, no self-check. This is the
-// nil-observer fast path — protocol-detail events are never materialized.
+// instrumentation attached: no detail observer, no self-check. This is the
+// nil-observer fast path — detail events are never built.
 func BenchmarkEngineObserversOff(b *testing.B) {
 	benchRun(b, nil)
 }
 
-// BenchmarkEngineMetricsAndTracerOn measures the same run with a tracing
-// observer subscribed, so every protocol-detail event (lock requests,
-// grants, authentication messages, ...) is constructed and delivered.
+// BenchmarkEngineMetricsAndTracerOn measures the same run with a detail
+// observer subscribed, so every detail event (lock requests, grants,
+// authentication requests, ...) is constructed and delivered.
 func BenchmarkEngineMetricsAndTracerOn(b *testing.B) {
-	benchRun(b, func(e *Engine) { e.SetTracer(trace.NewCounter()) })
+	benchRun(b, func(e *Engine) { e.Subscribe(new(kindCounter)) })
 }
 
 // BenchmarkEngineSelfCheckOn measures the run with periodic invariant

@@ -5,11 +5,8 @@ package hybrid
 // complex, up to the commit protocol (commit.go).
 
 import (
-	"fmt"
-
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/lock"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
@@ -94,18 +91,17 @@ func (p centralPath) lockBody(t *txnRun) {
 		p.afterLock(t, i)
 		return
 	}
-	c.emit(trace.LockRequest, t.spec.ID, -1, elem, mode.String())
+	c.detail(obs.LockRequest, t.spec.ID, -1, elem, float64(mode))
 	switch c.central.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
 	case lock.Granted:
-		c.emit(trace.LockGranted, t.spec.ID, -1, elem, "")
+		c.detail(obs.LockGrant, t.spec.ID, -1, elem, 0)
 		p.afterLock(t, i)
 	case lock.Queued:
 		t.phase = phaseLockWait
 		t.lockWaitFrom = c.central.sched.Now()
-		c.emit(trace.LockWaitBegin, t.spec.ID, -1, elem, "")
+		c.detail(obs.LockWaitBegin, t.spec.ID, -1, elem, 0)
 	case lock.Deadlock:
-		c.emit(trace.DeadlockAbort, t.spec.ID, -1, elem, "")
-		p.deadlockAbort(t)
+		p.deadlockAbort(t, elem)
 	}
 }
 
@@ -113,7 +109,7 @@ func (p centralPath) lockBody(t *txnRun) {
 func (p centralPath) granted(t *txnRun) {
 	c := p.c
 	c.recordLockWait(t)
-	c.emit(trace.LockGranted, t.spec.ID, -1, t.spec.Elements[t.callIdx], "")
+	c.detail(obs.LockGrant, t.spec.ID, -1, t.spec.Elements[t.callIdx], 0)
 	p.afterLock(t, t.callIdx)
 }
 
@@ -133,15 +129,14 @@ func (p centralPath) restart(t *txnRun) {
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	if c.Detailed() {
-		c.emit(trace.Rerun, t.spec.ID, -1, 0, fmt.Sprintf("attempt %d", t.attempt))
-	}
+	c.detail(obs.Rerun, t.spec.ID, -1, 0, float64(t.attempt))
 	c.central.sched.Schedule(c.cfg.RestartDelay, t.conts.restart)
 }
 
-func (p centralPath) deadlockAbort(t *txnRun) {
+// deadlockAbort handles a central deadlock on a request for elem.
+func (p centralPath) deadlockAbort(t *txnRun, elem uint32) {
 	c := p.c
-	c.observeAt(c.central.sched.Now(), obs.Event{Kind: obs.AbortDeadlockCentral, Site: -1, Txn: t.spec.ID})
+	c.observeAt(c.central.sched.Now(), obs.Event{Kind: obs.AbortDeadlockCentral, Site: -1, Txn: t.spec.ID, Elem: elem})
 	c.central.locks.ReleaseAll(t.id())
 	t.marked = false
 	t.attempt++

@@ -6,11 +6,8 @@ package hybrid
 // commit or abort-and-restart.
 
 import (
-	"fmt"
-
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/lock"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
@@ -25,9 +22,7 @@ func (p commitProtocol) begin(t *txnRun) {
 	c := p.c
 	cs := c.central
 	if t.marked {
-		c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.AbortCentralInval, Site: -1, Txn: t.spec.ID})
-		c.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, "invalidated by async update")
-		c.remote.restart(t)
+		p.abort(t, obs.AbortCentralInval, false)
 		return
 	}
 	// Central-shard scratch: consumed by the fan-out loop below, never
@@ -50,9 +45,7 @@ func (p commitProtocol) begin(t *txnRun) {
 				modes = append(modes, t.spec.Modes[j])
 			}
 		}
-		if c.Detailed() {
-			c.emit(trace.AuthRequest, t.spec.ID, site, 0, fmt.Sprintf("%d elements", len(elems)))
-		}
+		c.detail(obs.AuthRequest, t.spec.ID, site, 0, float64(len(elems)))
 		c.network.ToSite(Msg{Kind: MsgAuthReq, Site: site, Txn: t.spec.ID, Elems: elems, Modes: modes, View: view})
 	}
 }
@@ -90,17 +83,13 @@ func (p commitProtocol) authenticate(m Msg, sentAt float64) {
 				// change within one event.
 				panic("hybrid: seize failed after coherence check")
 			}
-			if len(victims) > 0 && c.Detailed() {
-				c.emit(trace.AuthSeized, m.Txn, m.Site, elem,
-					fmt.Sprintf("%d victims", len(victims)))
+			if len(victims) > 0 {
+				c.detail(obs.AuthSeized, m.Txn, m.Site, elem, float64(len(victims)))
 			}
 			for _, v := range victims {
 				p.markVictim(ls, v)
 			}
 		}
-		c.emit(trace.AuthACK, m.Txn, m.Site, 0, "")
-	} else {
-		c.emit(trace.AuthNACK, m.Txn, m.Site, 0, "in-flight updates")
 	}
 	c.observeAt(ls.sched.Now(), obs.Event{Kind: kind, Site: m.Site, Txn: m.Txn, Value: float64(len(m.Elems))})
 	c.network.ToCentral(Msg{Kind: MsgAuthReply, Site: m.Site, Txn: m.Txn, NACK: nack})
@@ -144,20 +133,27 @@ func (p commitProtocol) reply(m Msg) bool {
 		if t.authNACK {
 			kind = obs.AbortCentralNACK
 		}
-		c.observeAt(c.central.sched.Now(), obs.Event{Kind: kind, Site: -1, Txn: t.spec.ID})
-		if c.Detailed() {
-			reason := "invalidated during authentication"
-			if t.authNACK {
-				reason = "authentication NACK"
-			}
-			c.emit(trace.CrossAbortCentral, t.spec.ID, -1, 0, reason)
-		}
-		p.releaseAuthLocks(t, p.view())
-		c.remote.restart(t)
+		p.abort(t, kind, true)
 		return true
 	}
 	p.finish(t)
 	return true
+}
+
+// abort records a central cross-site abort of the given cause and re-runs
+// the transaction. An abort ending an authentication round (inAuth, Aux 1
+// on the event) first releases the locks the round seized.
+func (p commitProtocol) abort(t *txnRun, kind obs.Kind, inAuth bool) {
+	c := p.c
+	ev := obs.Event{Kind: kind, Site: -1, Txn: t.spec.ID}
+	if inAuth {
+		ev.Aux = 1
+	}
+	c.observeAt(c.central.sched.Now(), ev)
+	if inAuth {
+		p.releaseAuthLocks(t, p.view())
+	}
+	c.remote.restart(t)
 }
 
 // releaseAuthLocks tells every site that seized locks for t to release them
@@ -191,7 +187,6 @@ func (p commitProtocol) finish(t *txnRun) {
 	cs.inSystem--
 	cs.running.Delete(t.id())
 	t.phase = phaseDone
-	c.emit(trace.CommitCentral, t.spec.ID, -1, 0, "")
 	c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.CentralCommit, Site: -1, Txn: t.spec.ID, Aux: float64(t.attempt)})
 
 	cs.replyStarted++
@@ -213,7 +208,6 @@ func (p commitProtocol) delivered(m Msg, sentAt float64) bool {
 	}
 	ls.running.Delete(t.id())
 	ls.replyArrived++
-	c.emit(trace.ReplyDelivered, m.Txn, m.Site, 0, "")
 	if c.cfg.Feedback == FeedbackAllMessages {
 		ls.refreshView(m.View, sentAt)
 	}

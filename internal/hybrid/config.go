@@ -150,7 +150,7 @@ type Config struct {
 	// the internal/simtest differential gate enforces. The engine falls
 	// back to the sequential loop when the configuration cannot shard:
 	// CommDelay == 0 (no lookahead), FeedbackIdeal (strategies read central
-	// state instantaneously), or an external observer/tracer is subscribed
+	// state instantaneously), or an external observer is subscribed
 	// (observers see one interleaved event stream only sequentially).
 	Shards int
 	// SeriesBucket, when positive, records a mean-response-time and

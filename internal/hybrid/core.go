@@ -15,7 +15,6 @@ import (
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/lock"
 	"hybriddb/internal/routing"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
@@ -38,7 +37,7 @@ type core struct {
 	network Transport
 
 	// Instrumentation: every observation flows through the bus. clock
-	// stamps protocol-detail events, which only a single-queue run (or a
+	// stamps detail events, which only a single-queue run (or a
 	// single-partition node) emits.
 	bus   obs.Bus
 	clock exec.Clock
@@ -151,22 +150,18 @@ func (c *core) observeAt(at float64, ev obs.Event) {
 	c.bus.Emit(ev)
 }
 
-// emit records a protocol-detail event. The HasDetail guard keeps the hot
-// loop free of event (and note string) construction when tracing is off;
-// callers with expensive notes should check Detailed themselves. Detail
-// observers imply a sequential run, so the single queue's clock is correct.
-func (c *core) emit(kind trace.Kind, txn int64, site int, elem uint32, note string) {
+// detail emits a detail-kind event (obs.Kind.Detail) stamped with the
+// core's clock. The HasDetail guard keeps the hot loop free of event
+// construction when no detail observer listens. Detail observers imply a
+// sequential run, so the single queue's clock is correct.
+func (c *core) detail(kind obs.Kind, txn int64, site int, elem uint32, value float64) {
 	if !c.bus.HasDetail() {
 		return
 	}
-	c.bus.EmitDetail(obs.Event{
-		At: c.clock.Now(), Kind: obs.TraceDetail,
-		Trace: kind, Txn: txn, Site: site, Elem: elem, Note: note,
+	c.bus.Emit(obs.Event{
+		At: c.clock.Now(), Kind: kind, Txn: txn, Site: site, Elem: elem, Value: value,
 	})
 }
-
-// Detailed reports whether a detail (trace) observer is subscribed.
-func (c *core) Detailed() bool { return c.bus.HasDetail() }
 
 // admit processes one arriving transaction at its home site, whatever its
 // source: class B ships unconditionally, class A consults the routing
@@ -176,25 +171,19 @@ func (c *core) admit(spec *workload.Txn) {
 	ls := c.sites[site]
 	ls.generated++
 	t := c.takeRun(&ls.txnFree, false, spec, ls.sched.Now())
-	if c.Detailed() {
-		c.emit(trace.Arrive, spec.ID, site, 0, "class "+spec.Class.String())
-	}
 
-	if spec.Class == workload.ClassB {
-		c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, ClassB: true, Shipped: true, Site: site, Txn: spec.ID})
-		c.emit(trace.RouteShip, spec.ID, site, 0, "class B")
-		c.remote.ship(t)
-		return
+	classB := spec.Class == workload.ClassB
+	shipped, viewAge := classB, 0.0
+	if !classB {
+		st := c.routingState(site)
+		shipped = c.strategies[site].Decide(st) == routing.Ship
+		viewAge = st.ViewAge
 	}
-	st := c.routingState(site)
-	shipped := c.strategies[site].Decide(st) == routing.Ship
-	c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, Shipped: shipped, Value: st.ViewAge, Site: site, Txn: spec.ID})
+	c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.TxnArrive, ClassB: classB, Shipped: shipped, Value: viewAge, Site: site, Txn: spec.ID})
 	if shipped {
-		c.emit(trace.RouteShip, spec.ID, site, 0, "")
 		c.remote.ship(t)
 		return
 	}
-	c.emit(trace.RouteLocal, spec.ID, site, 0, "")
 	c.local.start(t)
 }
 

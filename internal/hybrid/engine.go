@@ -9,7 +9,6 @@ import (
 	"hybriddb/internal/rng"
 	"hybriddb/internal/routing"
 	"hybriddb/internal/sim"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
@@ -23,8 +22,9 @@ import (
 //     authenticate/ack/nack commit protocol;
 //   - propagation layer (propagate.go): asynchronous update application and
 //     the piggybacked central-state feedback routingState consumes;
-//   - observer bus (obs package, wired here): metrics, tracing, queue
-//     sampling, and invariant self-checks subscribe to engine events.
+//   - observer bus (obs package, wired here): metrics, spans, protocol
+//     dumps, queue sampling, and invariant self-checks subscribe to engine
+//     events.
 //
 // Engine holds every partition of the core and only constructs, wires, and
 // drives the run loop — either the single-queue sequential loop (the
@@ -48,7 +48,7 @@ type Engine struct {
 	wrap func(Transport) Transport
 
 	// The metrics observer is always subscribed (it produces the Result);
-	// tracing and self-checking subscribe on demand. externalObs counts
+	// span collectors, dumps and self-checking subscribe on demand. externalObs counts
 	// observers from outside the engine — their presence forces the
 	// sequential loop, since only a single event queue produces one
 	// globally ordered event stream.
@@ -126,24 +126,12 @@ func (n simNet) MessagesSent() uint64 { return n.net.MessagesSent() }
 func (e *Engine) WrapTransport(w func(Transport) Transport) { e.wrap = w }
 
 // Subscribe attaches an observer to the engine's bus. Call before Run.
-// Observers implementing obs.DetailObserver also receive the protocol-detail
-// (trace) stream. An external observer pins the run to the sequential loop:
+// Observers implementing obs.DetailObserver also receive the detail kinds;
+// with none subscribed the engine never builds a detail event. An external observer pins the run to the sequential loop:
 // only a single event queue delivers one globally ordered event stream.
 func (e *Engine) Subscribe(o obs.Observer) {
 	e.externalObs++
 	e.bus.Subscribe(o)
-}
-
-// SetTracer subscribes a protocol-event tracer on the bus. Call before Run;
-// a nil tracer is ignored, and with no tracer subscribed the engine never
-// materializes trace events. Like Subscribe, a tracer forces the sequential
-// loop.
-func (e *Engine) SetTracer(t trace.Tracer) {
-	if t == nil {
-		return
-	}
-	e.externalObs++
-	e.bus.Subscribe(obs.NewTracer(t))
 }
 
 // SetTrace replaces the synthetic workload with a recorded transaction

@@ -5,9 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/lock"
 	"hybriddb/internal/routing"
-	"hybriddb/internal/trace"
 	"hybriddb/internal/workload"
 )
 
@@ -382,6 +382,12 @@ func TestSiteRatesValidated(t *testing.T) {
 	}
 }
 
+// kindCounter is a detail observer tallying events by kind.
+type kindCounter [obs.NumKinds]uint64
+
+func (c *kindCounter) OnEvent(e obs.Event) { c[e.Kind]++ }
+func (*kindCounter) WantDetail() bool      { return true }
+
 func TestTracerObservesProtocol(t *testing.T) {
 	cfg := testConfig()
 	cfg.Warmup, cfg.Duration = 10, 50
@@ -390,24 +396,21 @@ func TestTracerObservesProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := trace.NewCounter()
-	e.SetTracer(counter)
+	var counter kindCounter
+	e.Subscribe(&counter)
 	r := e.Run()
-	if counter.Total() == 0 {
-		t.Fatal("tracer saw nothing")
-	}
-	if counter.Count(trace.Arrive) != r.Generated {
-		t.Errorf("arrive events %d != generated %d", counter.Count(trace.Arrive), r.Generated)
+	if counter[obs.TxnArrive] != r.Generated {
+		t.Errorf("arrive events %d != generated %d", counter[obs.TxnArrive], r.Generated)
 	}
 	// Every completion is either a local commit or a delivered reply.
-	commits := counter.Count(trace.CommitLocal) + counter.Count(trace.ReplyDelivered)
+	commits := counter[obs.TxnLocalCommit] + counter[obs.TxnReply]
 	if commits != r.Completed {
 		t.Errorf("commit events %d != completed %d", commits, r.Completed)
 	}
-	if counter.Count(trace.AuthRequest) == 0 || counter.Count(trace.AuthACK) == 0 {
-		t.Error("no authentication traffic traced")
+	if counter[obs.AuthRequest] == 0 || counter[obs.AuthAck] == 0 {
+		t.Error("no authentication traffic observed")
 	}
-	if counter.Count(trace.LockRequest) < counter.Count(trace.LockGranted) {
+	if counter[obs.LockRequest] < counter[obs.LockGrant] {
 		t.Error("more grants than requests")
 	}
 }
@@ -419,16 +422,16 @@ func TestTracerRingFollowsOneTxn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := trace.NewRing(256)
+	ring := obs.NewRing(256)
 	ring.FilterTxn(3)
-	e.SetTracer(ring)
+	e.Subscribe(ring)
 	e.Run()
 	events := ring.Events()
 	if len(events) == 0 {
 		t.Fatal("no events for txn 3")
 	}
-	if events[0].Kind != trace.Arrive {
-		t.Errorf("first event %v, want arrive", events[0].Kind)
+	if events[0].Kind != obs.TxnArrive {
+		t.Errorf("first event %v, want txn-arrive", events[0].Kind)
 	}
 	for _, ev := range events {
 		if ev.Txn != 3 {
@@ -445,7 +448,7 @@ func TestNoTracerIsDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r := e.Run(); r.Completed == 0 {
-		t.Fatal("no completions without tracer")
+		t.Fatal("no completions without a detail observer")
 	}
 }
 

@@ -5,11 +5,8 @@ package hybrid
 // calls, lock acquisition, and the local commit point of §2.
 
 import (
-	"fmt"
-
 	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/lock"
-	"hybriddb/internal/trace"
 )
 
 // localPath runs class A transactions at their home site.
@@ -56,18 +53,17 @@ func (p localPath) callBody(t *txnRun) {
 		p.afterLock(t, i)
 		return
 	}
-	c.emit(trace.LockRequest, t.spec.ID, ls.idx, elem, mode.String())
+	c.detail(obs.LockRequest, t.spec.ID, ls.idx, elem, float64(mode))
 	switch ls.locks.Acquire(t.id(), elem, mode, t.conts.grant) {
 	case lock.Granted:
-		c.emit(trace.LockGranted, t.spec.ID, ls.idx, elem, "")
+		c.detail(obs.LockGrant, t.spec.ID, ls.idx, elem, 0)
 		p.afterLock(t, i)
 	case lock.Queued:
 		t.phase = phaseLockWait
 		t.lockWaitFrom = ls.sched.Now()
-		c.emit(trace.LockWaitBegin, t.spec.ID, ls.idx, elem, "")
+		c.detail(obs.LockWaitBegin, t.spec.ID, ls.idx, elem, 0)
 	case lock.Deadlock:
-		c.emit(trace.DeadlockAbort, t.spec.ID, ls.idx, elem, "")
-		p.deadlockAbort(t)
+		p.deadlockAbort(t, elem)
 	}
 }
 
@@ -75,7 +71,7 @@ func (p localPath) callBody(t *txnRun) {
 func (p localPath) granted(t *txnRun) {
 	c := p.c
 	c.recordLockWait(t)
-	c.emit(trace.LockGranted, t.spec.ID, c.sites[t.spec.HomeSite].idx, t.spec.Elements[t.callIdx], "")
+	c.detail(obs.LockGrant, t.spec.ID, t.spec.HomeSite, t.spec.Elements[t.callIdx], 0)
 	p.afterLock(t, t.callIdx)
 }
 
@@ -100,7 +96,6 @@ func (p localPath) commit(t *txnRun) {
 	ls := c.sites[t.spec.HomeSite]
 	if t.marked {
 		c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortLocalSeized, Site: ls.idx, Txn: t.spec.ID})
-		c.emit(trace.CrossAbortLocal, t.spec.ID, t.spec.HomeSite, 0, "seized by central commit")
 		p.restart(t)
 		return
 	}
@@ -115,15 +110,11 @@ func (p localPath) commit(t *txnRun) {
 		ls.locks.IncrCoherence(elem)
 	}
 	if len(updates) > 0 {
-		if c.Detailed() {
-			c.emit(trace.UpdatePropagated, t.spec.ID, ls.idx, 0, fmt.Sprintf("%d elements", len(updates)))
-		}
+		c.detail(obs.UpdatesPropagated, t.spec.ID, ls.idx, 0, float64(len(updates)))
 		c.prop.propagate(ls, t.spec.ID, updates)
 	} else if updates != nil {
 		ls.updFree = append(ls.updFree, updates)
 	}
-	c.emit(trace.CommitLocal, t.spec.ID, t.spec.HomeSite, 0, "")
-
 	now := ls.sched.Now()
 	rt := now - t.arrivedAt
 	t.phase = phaseDone
@@ -142,18 +133,16 @@ func (p localPath) restart(t *txnRun) {
 	t.marked = false
 	t.attempt++
 	t.phase = phaseExecuting
-	if c.Detailed() {
-		c.emit(trace.Rerun, t.spec.ID, t.spec.HomeSite, 0, fmt.Sprintf("attempt %d", t.attempt))
-	}
+	c.detail(obs.Rerun, t.spec.ID, t.spec.HomeSite, 0, float64(t.attempt))
 	c.sites[t.spec.HomeSite].sched.Schedule(c.cfg.RestartDelay, t.conts.restart)
 }
 
-// deadlockAbort handles a same-site deadlock: the requester aborts and
-// releases all locks (§4.1), then re-runs.
-func (p localPath) deadlockAbort(t *txnRun) {
+// deadlockAbort handles a same-site deadlock on a request for elem: the
+// requester aborts and releases all locks (§4.1), then re-runs.
+func (p localPath) deadlockAbort(t *txnRun, elem uint32) {
 	c := p.c
 	ls := c.sites[t.spec.HomeSite]
-	c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortDeadlockLocal, Site: ls.idx, Txn: t.spec.ID})
+	c.observeAt(ls.sched.Now(), obs.Event{Kind: obs.AbortDeadlockLocal, Site: ls.idx, Txn: t.spec.ID, Elem: elem})
 	ls.locks.ReleaseAll(t.id())
 	t.marked = false
 	t.attempt++

@@ -152,7 +152,8 @@ func (m *metrics) coreIndex(ev obs.Event) int {
 }
 
 // OnEvent implements obs.Observer: lifecycle events fold into the emitting
-// partition's core; protocol-detail events are ignored. In a sharded run
+// partition's core (a plain observer never receives detail kinds). In a
+// sharded run
 // this is called concurrently by the shard workers, which is safe because
 // coreIndex routes every event to a core only its own shard writes, and the
 // enabled/start gate is written exclusively at the MeasureStart barrier.

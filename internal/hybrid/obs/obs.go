@@ -1,20 +1,23 @@
 // Package obs is the engine's observer bus: every instrumentation concern —
-// metrics accumulation, protocol tracing, periodic queue samples, invariant
-// self-checks — subscribes to one Observer interface instead of being wired
-// directly into the transaction lifecycle. The engine emits two tiers of
-// events:
+// metrics accumulation, span reconstruction, protocol-event dumps, periodic
+// queue samples, invariant self-checks — subscribes to one Observer
+// interface instead of being wired directly into the transaction lifecycle.
+// Each protocol step is one Event of one Kind, emitted once; the payload is
+// numeric, and renderers (Event.String, Event.Annotation) turn it into text.
 //
-//   - Lifecycle events carry numeric payloads only (response times, queue
-//     lengths, abort causes) and are emitted unconditionally; the metrics
-//     observer folds them into the run's Result.
-//   - Protocol-detail events (Kind == TraceDetail) mirror the trace package's
-//     event stream one-to-one, including rendered note strings. They are
-//     emitted only when a detail observer is subscribed (Bus.HasDetail), so
-//     the hot loop pays nothing — not even string construction — when tracing
-//     is off.
+// Kinds come in two groups:
+//
+//   - Lifecycle kinds (arrivals, commits, replies, aborts, authentication
+//     answers, update application, samples) are emitted unconditionally and
+//     delivered to every observer; the metrics observer folds them into the
+//     run's Result.
+//   - Detail kinds (lock requests and grants, lock-wait begins, reruns,
+//     authentication requests and seizures, update propagation and
+//     acknowledgement; Kind.Detail) are high-frequency steps delivered only
+//     to detail observers. The engine builds them only while one is
+//     subscribed (Bus.HasDetail), so the hot loop pays nothing for them when
+//     nobody listens.
 package obs
-
-import "hybriddb/internal/trace"
 
 // Kind classifies bus events.
 type Kind uint8
@@ -26,9 +29,10 @@ const (
 	MeasureStart Kind = iota + 1
 	// Lifecycle events name their transaction in Txn where there is one.
 	//
-	// TxnArrive is one admitted transaction: ClassB says which class,
-	// Shipped the routing decision (always true for class B), and Value the
-	// staleness of the central-state view at decision time (class A only).
+	// TxnArrive is one admitted transaction and its routing decision:
+	// ClassB says which class, Shipped the decision (always true for class
+	// B), and Value the staleness of the central-state view at decision
+	// time (class A only).
 	TxnArrive
 	// TxnLocalCommit is a class A transaction committing at its home site:
 	// Site is the site index, Value the response time, Aux its execution
@@ -43,7 +47,10 @@ const (
 	// AuthRound is one authentication round opened by a central commit;
 	// Value is the number of sites asked.
 	AuthRound
-	// Abort causes, one kind per counter.
+	// Abort causes, one kind per counter. The deadlock kinds carry the
+	// requested element in Elem; AbortCentralInval has Aux 1 when the
+	// invalidation landed during the authentication round, 0 when it was
+	// found at the commit point.
 	AbortDeadlockLocal
 	AbortDeadlockCentral
 	AbortLocalSeized
@@ -73,12 +80,40 @@ const (
 	QueueSample
 	// SelfCheck asks invariant-checking observers to audit the engine now.
 	SelfCheck
-	// TraceDetail wraps one protocol-level trace event (Event.Trace, plus
-	// Txn/Site/Elem/Note). Emitted only when a detail observer subscribed.
-	TraceDetail
+
+	// Detail kinds, delivered only to detail observers. Site is where the
+	// step runs (-1 for the central complex).
+	//
+	// LockRequest is a lock request: Elem is the element, Value the
+	// lock.Mode requested.
+	LockRequest
+	// LockGrant is a lock granted, immediately or after a wait: Elem is
+	// the element.
+	LockGrant
+	// LockWaitBegin is a lock request queued behind a conflicting holder:
+	// Elem is the element.
+	LockWaitBegin
+	// Rerun is an execution restarting after a cross-site abort: Value is
+	// the attempt number it starts.
+	Rerun
+	// AuthRequest is an authentication request sent to Site: Value is the
+	// number of elements it names.
+	AuthRequest
+	// AuthSeized is an authenticated lock seized from local holders: Elem
+	// is the element, Value the number of victims marked for abort.
+	AuthSeized
+	// UpdatesPropagated is a local commit handing its updates to the
+	// propagation layer: Value is the number of elements.
+	UpdatesPropagated
+	// UpdateAcked is the central acknowledgement of an update message
+	// processed at its originating site.
+	UpdateAcked
+
+	// NumKinds bounds the kind values; arrays indexed by Kind use it.
+	NumKinds
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [NumKinds]string{
 	MeasureStart:         "measure-start",
 	TxnArrive:            "txn-arrive",
 	TxnLocalCommit:       "txn-local-commit",
@@ -98,16 +133,27 @@ var kindNames = map[Kind]string{
 	UpdateApplied:        "update-applied",
 	QueueSample:          "queue-sample",
 	SelfCheck:            "self-check",
-	TraceDetail:          "trace-detail",
+	LockRequest:          "lock-request",
+	LockGrant:            "lock-granted",
+	LockWaitBegin:        "lock-wait",
+	Rerun:                "rerun",
+	AuthRequest:          "auth-request",
+	AuthSeized:           "auth-seized",
+	UpdatesPropagated:    "update-propagated",
+	UpdateAcked:          "update-acked",
 }
 
 // String returns the kind's name.
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k < NumKinds && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return "Kind(?)"
 }
+
+// Detail reports whether k is a detail kind, delivered only to detail
+// observers.
+func (k Kind) Detail() bool { return k >= LockRequest && k < NumKinds }
 
 // Event is one observation. Which payload fields are meaningful depends on
 // Kind; unused fields are zero.
@@ -115,14 +161,10 @@ type Event struct {
 	At   float64 // simulated time
 	Kind Kind
 
-	// Protocol-detail payload (Kind == TraceDetail).
-	Trace trace.Kind
-	Txn   int64
-	Site  int // also the origin site of TxnArrive/TxnLocalCommit/TxnReply
-	Elem  uint32
-	Note  string
+	Txn  int64
+	Site int // site index; -1 for the central complex
+	Elem uint32
 
-	// Lifecycle payload.
 	ClassB  bool
 	Shipped bool
 	Value   float64
@@ -135,8 +177,8 @@ type Observer interface {
 	OnEvent(Event)
 }
 
-// DetailObserver is an Observer that also wants the high-frequency
-// protocol-detail stream (TraceDetail events). Bus.Subscribe detects it.
+// DetailObserver is an Observer that also wants the detail kinds.
+// Bus.Subscribe detects it.
 type DetailObserver interface {
 	Observer
 	WantDetail() bool
@@ -151,12 +193,12 @@ func (f Func) OnEvent(e Event) { f(e) }
 // Bus fans events out to subscribed observers. The zero value is ready to
 // use; an empty bus drops everything.
 type Bus struct {
-	all    []Observer // receive every event
-	detail []Observer // additionally receive TraceDetail events
+	all    []Observer // receive every lifecycle event
+	detail []Observer // additionally receive detail events
 }
 
 // Subscribe adds an observer. Observers implementing DetailObserver with
-// WantDetail() == true also receive the protocol-detail stream.
+// WantDetail() == true also receive the detail kinds.
 func (b *Bus) Subscribe(o Observer) {
 	if o == nil {
 		return
@@ -167,45 +209,18 @@ func (b *Bus) Subscribe(o Observer) {
 	}
 }
 
-// HasDetail reports whether any subscribed observer wants protocol-detail
-// events. Emitters check this before building a TraceDetail event, so note
-// strings are never rendered when tracing is off.
+// HasDetail reports whether any subscribed observer wants detail events.
+// Emitters check this before building one.
 func (b *Bus) HasDetail() bool { return len(b.detail) > 0 }
 
-// Emit delivers a lifecycle event to every subscribed observer.
+// Emit delivers an event to its subscribers: a lifecycle event to every
+// observer, a detail event to detail observers only.
 func (b *Bus) Emit(e Event) {
-	for _, o := range b.all {
+	to := b.all
+	if e.Kind.Detail() {
+		to = b.detail
+	}
+	for _, o := range to {
 		o.OnEvent(e)
 	}
-}
-
-// EmitDetail delivers a protocol-detail event to detail observers only.
-func (b *Bus) EmitDetail(e Event) {
-	for _, o := range b.detail {
-		o.OnEvent(e)
-	}
-}
-
-// Tracer adapts a trace.Tracer to the bus: it subscribes for the
-// protocol-detail stream and forwards each TraceDetail event as a
-// trace.Event, reproducing exactly the stream the engine used to hand the
-// tracer directly.
-type Tracer struct {
-	T trace.Tracer
-}
-
-// NewTracer wraps t for subscription on the bus.
-func NewTracer(t trace.Tracer) Tracer { return Tracer{T: t} }
-
-// WantDetail implements DetailObserver.
-func (Tracer) WantDetail() bool { return true }
-
-// OnEvent implements Observer.
-func (a Tracer) OnEvent(e Event) {
-	if e.Kind != TraceDetail || a.T == nil {
-		return
-	}
-	a.T.Record(trace.Event{
-		At: e.At, Kind: e.Trace, Txn: e.Txn, Site: e.Site, Elem: e.Elem, Note: e.Note,
-	})
 }

@@ -19,21 +19,24 @@ package hybrid
 //     events at different partitions — only on each partition's own event
 //     order, which conservative synchronization preserves exactly.
 //  2. Deterministic message order. Cross-shard messages are merged between
-//     rounds sorted by (arrival time, edge, per-edge sequence); each edge
-//     is written by one shard, so the per-edge sequence reproduces the
-//     sequential engine's per-link FIFO order, including same-instant
-//     release-before-reply guarantees the commit protocol relies on.
+//     rounds without a sort: per-edge outboxes (each written by one shard,
+//     in the sequential engine's per-link FIFO order) drain in ascending
+//     edge index into the destination calendars, which order by time. That
+//     reproduces the per-link order, including the same-instant
+//     release-before-reply the commit protocol relies on (DESIGN.md §14.3).
 //  3. Barrier-aligned global events. Measurement start, queue samples, and
 //     self-checks execute with every shard clock advanced to the event's
 //     instant, in a fixed priority order, so clock integrals (CPU busy
 //     time) and cross-partition reads see the sequential state.
 //
-// The one remaining difference class: an event at site A and an event at
-// site B at the exact same float64 timestamp execute in seq order on one
-// queue and concurrently here. Such ties have measure zero — every site
-// timestamp descends from its own continuous exponential arrival chain —
-// and cannot influence any partitioned accumulator anyway; the simtest
-// differential gate would catch a violation.
+// Known tie class: a site-local event and a cross-shard arrival at the
+// exact same float64 instant run in global insertion order on the
+// sequential queue but in delivery-at-round-end order here. Such a tie can
+// change results — DESIGN.md §16.4 records one that flipped a routing
+// decision. It needs offset sums that collide exactly, which delays on the
+// 1 ms service lattice make possible; the differential matrix uses
+// off-lattice delays to avoid it, and ROADMAP item 3a plans a
+// partition-invariant event order that removes it.
 
 import (
 	"hybriddb/internal/exec"

@@ -5,12 +5,7 @@ package hybrid
 // application, and the piggybacked central-state views whose feedback
 // routingState consumes.
 
-import (
-	"fmt"
-
-	"hybriddb/internal/hybrid/obs"
-	"hybriddb/internal/trace"
-)
+import "hybriddb/internal/hybrid/obs"
 
 // refreshView installs a newer view of the central state taken at instant
 // at (the message's send instant).
@@ -126,9 +121,6 @@ func (p propagator) applyNow(m Msg) {
 			cs.locks.Release(holder, elem)
 		}
 	}
-	if c.Detailed() {
-		c.emit(trace.UpdateApplied, 0, -1, 0, fmt.Sprintf("%d elements from site %d", len(m.Elems), m.Site))
-	}
 	c.observeAt(cs.sched.Now(), obs.Event{Kind: obs.UpdateApplied, Site: -1, Txn: m.Txn,
 		Value: float64(len(m.Elems)), Aux: float64(m.Site)})
 	c.network.ToSite(Msg{Kind: MsgUpdateAck, Site: m.Site, Elems: m.Elems, View: c.commit.view()})
@@ -145,7 +137,7 @@ func (p propagator) acked(m Msg, sentAt float64) {
 	for _, elem := range m.Elems {
 		ls.locks.DecrCoherence(elem)
 	}
-	c.emit(trace.UpdateAcked, 0, m.Site, 0, "")
+	c.detail(obs.UpdateAcked, 0, m.Site, 0, 0)
 	// The acknowledgement executes on the originating site's partition, so
 	// it can hand the update buffer back to that site's pool.
 	if m.Elems != nil {

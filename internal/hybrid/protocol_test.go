@@ -3,33 +3,32 @@ package hybrid
 import (
 	"testing"
 
+	"hybriddb/internal/exec"
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
-	"hybriddb/internal/trace"
 )
 
-// eventLog collects every event grouped by transaction.
+// eventLog is a detail observer collecting every transaction-scoped event
+// kind grouped by transaction.
 type eventLog struct {
-	byTxn map[int64][]trace.Kind
+	byTxn map[int64][]obs.Kind
 }
 
-func (l *eventLog) Record(e trace.Event) {
+func (l *eventLog) WantDetail() bool { return true }
+
+func (l *eventLog) OnEvent(e obs.Event) {
 	if e.Txn == 0 {
 		return
 	}
 	l.byTxn[e.Txn] = append(l.byTxn[e.Txn], e.Kind)
 }
 
-func contains(kinds []trace.Kind, k trace.Kind) bool {
-	for _, kind := range kinds {
-		if kind == k {
-			return true
-		}
-	}
-	return false
+func contains(kinds []obs.Kind, k obs.Kind) bool {
+	return indexOf(kinds, k) >= 0
 }
 
 // indexOf returns the first position of k, or -1.
-func indexOf(kinds []trace.Kind, k trace.Kind) int {
+func indexOf(kinds []obs.Kind, k obs.Kind) int {
 	for i, kind := range kinds {
 		if kind == k {
 			return i
@@ -38,8 +37,8 @@ func indexOf(kinds []trace.Kind, k trace.Kind) int {
 	return -1
 }
 
-// runTracedContended runs a contended mixed workload with full tracing.
-func runTracedContended(t *testing.T) *eventLog {
+// contendedEngine builds an engine on a contended mixed workload.
+func contendedEngine(t *testing.T) *Engine {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Warmup, cfg.Duration = 0, 150
@@ -50,8 +49,15 @@ func runTracedContended(t *testing.T) *eventLog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	log := &eventLog{byTxn: make(map[int64][]trace.Kind)}
-	e.SetTracer(log)
+	return e
+}
+
+// runTracedContended runs the contended workload with a detail observer.
+func runTracedContended(t *testing.T) *eventLog {
+	t.Helper()
+	e := contendedEngine(t)
+	log := &eventLog{byTxn: make(map[int64][]obs.Kind)}
+	e.Subscribe(log)
 	e.Run()
 	return log
 }
@@ -63,16 +69,16 @@ func TestProtocolSequenceVictim(t *testing.T) {
 	log := runTracedContended(t)
 	verified := 0
 	for txn, kinds := range log.byTxn {
-		abortAt := indexOf(kinds, trace.CrossAbortLocal)
+		abortAt := indexOf(kinds, obs.AbortLocalSeized)
 		if abortAt < 0 {
 			continue
 		}
-		rerunAt := indexOf(kinds[abortAt:], trace.Rerun)
+		rerunAt := indexOf(kinds[abortAt:], obs.Rerun)
 		if rerunAt < 0 {
 			t.Errorf("txn %d cross-aborted without a rerun: %v", txn, kinds)
 			continue
 		}
-		if commitAt := indexOf(kinds, trace.CommitLocal); commitAt >= 0 && commitAt < abortAt {
+		if commitAt := indexOf(kinds, obs.TxnLocalCommit); commitAt >= 0 && commitAt < abortAt {
 			t.Errorf("txn %d committed before its cross abort: %v", txn, kinds)
 		}
 		verified++
@@ -89,17 +95,17 @@ func TestProtocolSequenceCentralCommit(t *testing.T) {
 	log := runTracedContended(t)
 	checked := 0
 	for txn, kinds := range log.byTxn {
-		commitAt := indexOf(kinds, trace.CommitCentral)
+		commitAt := indexOf(kinds, obs.CentralCommit)
 		if commitAt < 0 {
 			continue
 		}
-		authAt := indexOf(kinds, trace.AuthRequest)
+		authAt := indexOf(kinds, obs.AuthRequest)
 		if authAt < 0 || authAt > commitAt {
 			t.Errorf("txn %d committed centrally without prior authentication: %v", txn, kinds)
 		}
 		replies := 0
 		for _, k := range kinds {
-			if k == trace.ReplyDelivered {
+			if k == obs.TxnReply {
 				replies++
 			}
 		}
@@ -122,18 +128,18 @@ func TestProtocolSequenceNACKRetries(t *testing.T) {
 	log := runTracedContended(t)
 	verified := 0
 	for txn, kinds := range log.byTxn {
-		nackAt := indexOf(kinds, trace.AuthNACK)
+		nackAt := indexOf(kinds, obs.AuthNack)
 		if nackAt < 0 {
 			continue
 		}
-		commitAt := indexOf(kinds, trace.CommitCentral)
+		commitAt := indexOf(kinds, obs.CentralCommit)
 		if commitAt >= 0 && commitAt < nackAt {
 			continue // commit from an earlier successful round is impossible; skip defensively
 		}
 		if commitAt >= 0 {
 			// Committed eventually: there must be a second auth round
 			// between the NACK and the commit.
-			laterAuth := indexOf(kinds[nackAt:], trace.AuthRequest)
+			laterAuth := indexOf(kinds[nackAt:], obs.AuthRequest)
 			if laterAuth < 0 {
 				t.Errorf("txn %d committed after NACK without re-authentication: %v", txn, kinds)
 			}
@@ -152,7 +158,7 @@ func TestProtocolEveryCompletionHasSingleCommit(t *testing.T) {
 	for txn, kinds := range log.byTxn {
 		commits := 0
 		for _, k := range kinds {
-			if k == trace.CommitLocal || k == trace.ReplyDelivered {
+			if k == obs.TxnLocalCommit || k == obs.TxnReply {
 				commits++
 			}
 		}
@@ -168,12 +174,12 @@ func TestProtocolUpdatesOnlyAfterCommit(t *testing.T) {
 	log := runTracedContended(t)
 	seen := false
 	for txn, kinds := range log.byTxn {
-		upAt := indexOf(kinds, trace.UpdatePropagated)
+		upAt := indexOf(kinds, obs.UpdatesPropagated)
 		if upAt < 0 {
 			continue
 		}
 		seen = true
-		if !contains(kinds, trace.CommitLocal) {
+		if !contains(kinds, obs.TxnLocalCommit) {
 			t.Errorf("txn %d propagated updates but never committed: %v", txn, kinds)
 		}
 	}
@@ -181,3 +187,71 @@ func TestProtocolUpdatesOnlyAfterCommit(t *testing.T) {
 		t.Fatal("no update propagation traced")
 	}
 }
+
+// countingClock counts the engine clock reads that stamp detail events; no
+// other emit path reads the core's clock.
+type countingClock struct {
+	inner exec.Clock
+	reads int
+}
+
+func (c *countingClock) Now() float64 { c.reads++; return c.inner.Now() }
+
+// TestOneStreamPlainAndDetailObservers subscribes a plain observer and a
+// detail observer to one contended run: both see the same lifecycle events
+// in the same order, only the detail observer sees the detail kinds (each
+// of them, on this workload), and an engine with no detail observer never
+// builds a detail event.
+func TestOneStreamPlainAndDetailObservers(t *testing.T) {
+	e := contendedEngine(t)
+	var plain, detailed []obs.Event
+	e.Subscribe(obs.Func(func(ev obs.Event) { plain = append(plain, ev) }))
+	e.Subscribe(detailFunc(func(ev obs.Event) { detailed = append(detailed, ev) }))
+	clock := &countingClock{inner: e.clock}
+	e.clock = clock
+	e.Run()
+
+	var lifecycle []obs.Event
+	var detailCounts [obs.NumKinds]int
+	for _, ev := range detailed {
+		if ev.Kind.Detail() {
+			detailCounts[ev.Kind]++
+			continue
+		}
+		lifecycle = append(lifecycle, ev)
+	}
+	if len(lifecycle) != len(plain) {
+		t.Fatalf("detail observer saw %d lifecycle events, plain observer %d", len(lifecycle), len(plain))
+	}
+	for i := range plain {
+		if plain[i] != lifecycle[i] {
+			t.Fatalf("lifecycle event %d differs: plain %v, detail %v", i, plain[i], lifecycle[i])
+		}
+		if plain[i].Kind.Detail() {
+			t.Fatalf("plain observer received detail event %v", plain[i])
+		}
+	}
+	for k := obs.LockRequest; k < obs.NumKinds; k++ {
+		if detailCounts[k] == 0 {
+			t.Errorf("no %v events on the contended run", k)
+		}
+	}
+	if clock.reads != len(detailed)-len(lifecycle) {
+		t.Errorf("clock read %d times for %d detail events", clock.reads, len(detailed)-len(lifecycle))
+	}
+
+	untraced := contendedEngine(t)
+	untraced.Subscribe(obs.Func(func(obs.Event) {}))
+	probe := &countingClock{inner: untraced.clock}
+	untraced.clock = probe
+	untraced.Run()
+	if probe.reads != 0 {
+		t.Errorf("engine without a detail observer built %d detail events", probe.reads)
+	}
+}
+
+// detailFunc is an obs.Func that also subscribes to the detail kinds.
+type detailFunc func(obs.Event)
+
+func (f detailFunc) OnEvent(ev obs.Event) { f(ev) }
+func (detailFunc) WantDetail() bool       { return true }

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/routing"
-	"hybriddb/internal/trace"
 )
 
 // TestQuickProtocolStress drives short self-checked simulations across a
@@ -64,14 +64,14 @@ func TestQuickProtocolStress(t *testing.T) {
 			t.Logf("config rejected: %v", err)
 			return false
 		}
-		counter := trace.NewCounter()
-		engine.SetTracer(counter)
+		var counter kindCounter
+		engine.Subscribe(&counter)
 		r := engine.Run() // SelfCheck panics on any invariant violation
 		if r.Completed > r.Generated {
 			return false
 		}
-		// Every arrival must be traced.
-		return counter.Count(trace.Arrive) == r.Generated
+		// Every arrival must be observed.
+		return counter[obs.TxnArrive] == r.Generated
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -122,3 +122,32 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		t.Fatal("smaller second frame did not reuse the read buffer")
 	}
 }
+
+// FuzzFrame feeds arbitrary bytes to ReadFrame, the first decoder every
+// untrusted byte meets: it must never panic, must reject an oversized
+// length word as ErrFrameTooLarge, and every frame it accepts must encode
+// back (AppendFrame) to exactly the bytes it consumed.
+func FuzzFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		var buf []byte
+		for {
+			start := len(data) - r.Len()
+			fr, next, err := ReadFrame(r, buf)
+			buf = next
+			if err != nil {
+				if len(data)-start >= 4 && binary.BigEndian.Uint32(data[start:]) > MaxFrame && !errors.Is(err, ErrFrameTooLarge) {
+					t.Fatalf("oversized length word not rejected as too large: %v", err)
+				}
+				return
+			}
+			enc, err := AppendFrame(nil, fr)
+			if err != nil {
+				t.Fatalf("accepted %v does not re-encode: %v", fr, err)
+			}
+			if consumed := data[start : len(data)-r.Len()]; !bytes.Equal(enc, consumed) {
+				t.Fatalf("%v re-encodes to %x, read from %x", fr, enc, consumed)
+			}
+		}
+	})
+}

@@ -1,12 +1,14 @@
 // Package spans reconstructs per-transaction span trees from the engine's
-// protocol-detail event stream and exports them as Chrome trace-event JSON,
+// observer-bus event stream and exports them as Chrome trace-event JSON,
 // loadable in Perfetto or chrome://tracing.
 //
 // The paper's routing policies differ precisely in where a transaction's
 // time goes — network hops, CPU queueing at the central complex, lock
 // waits, optimistic-abort retries — and a summary Result cannot show that.
-// A Collector subscribes to the observer bus (it is an obs.DetailObserver,
-// so the engine materializes trace events only while one is attached),
+// A Collector subscribes to the observer bus as an obs.DetailObserver, so
+// it sees the lifecycle kinds and the detail kinds (lock steps, reruns,
+// authentication requests) in one ordered stream; the engine builds detail
+// events only while such an observer is attached. The Collector
 // folds the flat event stream back into nested spans, and renders one
 // trace "process" per local site plus a dedicated lane for the central
 // complex. Each transaction gets its own thread (tid = transaction id)
@@ -33,7 +35,6 @@ import (
 	"strconv"
 
 	"hybriddb/internal/hybrid/obs"
-	"hybriddb/internal/trace"
 )
 
 // DefaultMaxEvents bounds the retained trace events; a long saturated run
@@ -104,7 +105,7 @@ func NewCollector(sites int) *Collector {
 }
 
 // WantDetail implements obs.DetailObserver: the collector consumes the
-// protocol-detail stream.
+// detail kinds.
 func (c *Collector) WantDetail() bool { return true }
 
 // Dropped returns the number of events discarded after MaxEvents filled.
@@ -136,18 +137,26 @@ func (c *Collector) instant(at float64, pid int, tid int64, name string, args ..
 	c.add(event{name: name, cat: "txn", ph: 'i', ts: at, pid: pid, tid: tid, args: args})
 }
 
-// OnEvent implements obs.Observer, folding the protocol-detail stream into
-// span boundaries. Lifecycle (numeric) events are ignored.
+// OnEvent implements obs.Observer, folding the event stream into span
+// boundaries.
 func (c *Collector) OnEvent(ev obs.Event) {
-	if ev.Kind != obs.TraceDetail {
+	switch ev.Kind {
+	case obs.MeasureStart, obs.QueueSample, obs.SelfCheck,
+		obs.LockWaitEnd, obs.AuthRound, obs.ColdFetch, obs.ShipArrive:
+		// No span role. The truncation instant follows only the steps
+		// that shape spans or carry updates, so an export of a fixed
+		// seed stays byte-stable.
 		return
 	}
 	if ev.At > c.lastAt {
 		c.lastAt = ev.At
 	}
+	if ev.Kind == obs.UpdateApplied || ev.Kind == obs.UpdateAcked {
+		return // propagation steps belong to no transaction's lanes
+	}
 	t := c.txns[ev.Txn]
 	if t == nil {
-		if ev.Trace != trace.Arrive || len(c.events) >= c.limit() {
+		if ev.Kind != obs.TxnArrive || len(c.events) >= c.limit() {
 			// Mid-flight txn admitted before the collector attached, or a
 			// new arrival past the retention cap.
 			c.dropped++
@@ -157,70 +166,76 @@ func (c *Collector) OnEvent(ev obs.Event) {
 		c.txns[ev.Txn] = t
 		c.order = append(c.order, ev.Txn)
 	}
-	switch ev.Trace {
-	case trace.Arrive:
+	switch ev.Kind {
+	case obs.TxnArrive:
+		class := "A"
+		if ev.ClassB {
+			class = "B"
+		}
 		t.txnOpen = true
-		c.begin(ev.At, sitePid(ev.Site), ev.Txn, "txn", kv{"class", classOf(ev.Note)})
-	case trace.RouteLocal:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "route: local")
-		t.execPid = sitePid(ev.Site)
-		c.begin(ev.At, t.execPid, ev.Txn, "attempt", kv{"n", "1"})
-	case trace.RouteShip:
+		c.begin(ev.At, sitePid(ev.Site), ev.Txn, "txn", kv{"class", class})
+		if !ev.Shipped {
+			c.instant(ev.At, sitePid(ev.Site), ev.Txn, "route: local")
+			t.execPid = sitePid(ev.Site)
+			c.begin(ev.At, t.execPid, ev.Txn, "attempt", kv{"n", "1"})
+			break
+		}
 		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "route: ship")
 		t.shipOpen = true
 		c.begin(ev.At, centralPid, ev.Txn, "ship+setup")
-	case trace.LockRequest:
+	case obs.LockRequest:
 		c.ensureExec(t, ev)
-	case trace.LockWaitBegin:
+	case obs.LockWaitBegin:
 		c.ensureExec(t, ev)
 		t.lockWaitOpen = true
 		t.lockWaitPid = sitePid(ev.Site)
 		t.lockWaitElem = ev.Elem
 		c.begin(ev.At, t.lockWaitPid, ev.Txn, "lock wait", kv{"elem", itoa(ev.Elem)})
-	case trace.LockGranted:
+	case obs.LockGrant:
 		if t.lockWaitOpen && t.lockWaitElem == ev.Elem {
 			t.lockWaitOpen = false
 			c.end(ev.At, t.lockWaitPid, ev.Txn)
 		}
-	case trace.DeadlockAbort:
+	case obs.AbortDeadlockLocal, obs.AbortDeadlockCentral:
 		c.closeLockWait(t, ev.At, ev.Txn)
 		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "abort", kv{"cause", "deadlock"}, kv{"elem", itoa(ev.Elem)})
 		c.closeExec(t, ev, "deadlock")
 		t.attempt++
-	case trace.CrossAbortLocal:
+	case obs.AbortLocalSeized:
 		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "abort", kv{"cause", "seized"})
 		c.closeExec(t, ev, "seized")
 		t.attempt++
-	case trace.CrossAbortCentral:
+	case obs.AbortCentralNACK, obs.AbortCentralInval:
 		if t.authOpen {
 			t.authOpen = false
 			c.end(ev.At, centralPid, ev.Txn, kv{"outcome", "abort"})
 		}
-		c.instant(ev.At, centralPid, ev.Txn, "abort", kv{"cause", ev.Note})
-		c.closeExec(t, ev, ev.Note)
+		cause := ev.Annotation()
+		c.instant(ev.At, centralPid, ev.Txn, "abort", kv{"cause", cause})
+		c.closeExec(t, ev, cause)
 		t.attempt++
-	case trace.Rerun:
+	case obs.Rerun:
 		t.execPid = sitePid(ev.Site)
 		c.begin(ev.At, t.execPid, ev.Txn, "attempt", kv{"n", itoa(uint32(t.attempt))})
-	case trace.AuthRequest:
+	case obs.AuthRequest:
 		c.closeShip(t, ev.At, ev.Txn)
 		if !t.authOpen {
 			t.authOpen = true
 			c.begin(ev.At, centralPid, ev.Txn, "auth")
 		}
 		c.instant(ev.At, centralPid, ev.Txn, "auth request", kv{"site", strconv.Itoa(ev.Site)})
-	case trace.AuthSeized:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth seized", kv{"elem", itoa(ev.Elem)}, kv{"victims", ev.Note})
-	case trace.AuthACK:
+	case obs.AuthSeized:
+		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth seized", kv{"elem", itoa(ev.Elem)}, kv{"victims", ev.Annotation()})
+	case obs.AuthAck:
 		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth ack")
-	case trace.AuthNACK:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth nack", kv{"why", ev.Note})
-	case trace.CommitLocal:
+	case obs.AuthNack:
+		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "auth nack", kv{"why", ev.Annotation()})
+	case obs.TxnLocalCommit:
 		c.closeExec(t, ev, "")
 		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "commit", kv{"where", "local"})
 		c.closeTxn(t, ev.At, ev.Txn, "")
 		delete(c.txns, ev.Txn)
-	case trace.CommitCentral:
+	case obs.CentralCommit:
 		if t.authOpen {
 			t.authOpen = false
 			c.end(ev.At, centralPid, ev.Txn, kv{"outcome", "commit"})
@@ -230,15 +245,15 @@ func (c *Collector) OnEvent(ev obs.Event) {
 		// The completion reply is now in flight toward the origin.
 		t.replyOpen = true
 		c.begin(ev.At, sitePid(t.home), ev.Txn, "reply")
-	case trace.ReplyDelivered:
+	case obs.TxnReply:
 		if t.replyOpen {
 			t.replyOpen = false
 			c.end(ev.At, sitePid(ev.Site), ev.Txn)
 		}
 		c.closeTxn(t, ev.At, ev.Txn, "")
 		delete(c.txns, ev.Txn)
-	case trace.UpdatePropagated:
-		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "updates propagated", kv{"batch", ev.Note})
+	case obs.UpdatesPropagated:
+		c.instant(ev.At, sitePid(ev.Site), ev.Txn, "updates propagated", kv{"batch", ev.Annotation()})
 	}
 }
 
@@ -300,14 +315,6 @@ func (c *Collector) closeTxn(t *txnState, at float64, txn int64, note string) {
 		return
 	}
 	c.end(at, sitePid(t.home), txn)
-}
-
-// classOf extracts the class letter from an Arrive note ("class A"/"class B").
-func classOf(note string) string {
-	if n := len(note); n > 0 {
-		return note[n-1:]
-	}
-	return "?"
 }
 
 func itoa(v uint32) string { return strconv.FormatUint(uint64(v), 10) }

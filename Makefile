@@ -9,9 +9,9 @@ BENCH_PKGS = ./internal/sim ./internal/lock ./internal/cpu ./internal/hybrid
 # Fuzz targets of the correctness harness (DESIGN.md §11); FUZZTIME bounds
 # each target's smoke budget.
 FUZZTIME ?= 10s
-FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest FuzzDecode:./internal/netx FuzzFrame:./internal/netx
+FUZZ_TARGETS = FuzzHeap:./internal/sim FuzzShardSync:./internal/sim FuzzLock:./internal/lock FuzzConfig:./internal/simtest FuzzWorkloadConfig:./internal/simtest FuzzDecode:./internal/netx FuzzFrame:./internal/netx FuzzServe:./internal/netx
 
-.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke simtest fuzz-smoke cluster-smoke check bench figures
+.PHONY: all build test vet staticcheck race race-stress smoke bench-smoke simtest fuzz-smoke cluster-smoke perfbench-test check bench figures
 
 all: build test
 
@@ -96,7 +96,13 @@ smoke:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' $(BENCH_PKGS)
 
-check: vet staticcheck race simtest race-stress smoke bench-smoke fuzz-smoke cluster-smoke
+# The repository benchmark (perfbench/) is a nested module, so `go test ./...`
+# at the root skips it; vet and test it on its own so an internal API change
+# cannot break the benchmark unseen.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+check: vet staticcheck race simtest race-stress smoke bench-smoke fuzz-smoke cluster-smoke perfbench-test
 
 # Full benchmark run over the hot-path packages, recorded as a
 # machine-readable summary (BENCH_$(BENCH_LABEL).json) diffed against the

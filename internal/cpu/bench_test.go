@@ -9,7 +9,7 @@ import (
 
 // BenchmarkSubmitFinish measures the full burst lifecycle — enqueue,
 // dispatch, simulated completion — which the engine drives for every
-// database call, I/O, and message handler. With the job pool and the shared
+// database call, I/O, and message handler. With value bursts and the shared
 // finish closure this cycle performs no allocations in steady state.
 func BenchmarkSubmitFinish(b *testing.B) {
 	s := sim.New()

@@ -14,24 +14,11 @@ import (
 	"hybriddb/internal/exec"
 )
 
-// Job is a queued or running CPU burst. Job objects are owned and pooled by
-// the Server: once a burst completes or is cancelled, its Job may be reused
-// for a later Submit, so a retained handle is only meaningful while the
-// burst is pending.
-type Job struct {
+// burst is one queued CPU burst, held by value in the server's queue.
+type burst struct {
 	instructions float64
 	done         func()
-	state        jobState
 }
-
-type jobState uint8
-
-const (
-	jobQueued jobState = iota + 1
-	jobRunning
-	jobDone
-	jobCancelled
-)
 
 // Server is a single FCFS processor. It runs on any exec.Scheduler — the
 // discrete-event simulator in a simulation, the wall-clock loop in the live
@@ -42,19 +29,18 @@ type Server struct {
 	disp exec.Dispatch
 	mips float64
 
-	queue   []*Job
-	current *Job
-
-	// freeJobs recycles Job objects across bursts; onFinish is the single
-	// completion closure shared by every dispatch (it reads current), so the
+	// queue holds the waiting bursts by value; busy marks a burst in
+	// service and done is its completion callback. onFinish is the single
+	// completion closure shared by every dispatch (it reads done), so the
 	// steady-state Submit/dispatch/finish cycle performs no allocations.
-	freeJobs []*Job
+	queue    []burst
+	busy     bool
+	done     func()
 	onFinish func()
 
 	// accounting
 	busySince float64
 	busyTime  float64
-	started   uint64
 	completed uint64
 }
 
@@ -72,9 +58,6 @@ func NewServer(s exec.Scheduler, mips float64) *Server {
 	return c
 }
 
-// MIPS returns the processor speed.
-func (c *Server) MIPS() float64 { return c.mips }
-
 // Rebind moves the server onto a different scheduler clock. Only an idle
 // server can move: a burst in service has a completion event scheduled on
 // the old clock that cannot follow. The sharded engine uses this at run
@@ -83,7 +66,7 @@ func (c *Server) Rebind(s exec.Scheduler) {
 	if s == nil {
 		panic("cpu: nil scheduler")
 	}
-	if c.current != nil || len(c.queue) > 0 {
+	if c.busy || len(c.queue) > 0 {
 		panic("cpu: rebind of a busy server")
 	}
 	c.disp = exec.NewDispatch(s)
@@ -97,84 +80,46 @@ func (c *Server) ServiceTime(instructions float64) float64 {
 
 // Submit enqueues a burst of the given number of instructions; done runs when
 // the burst completes. Zero-instruction bursts complete through the queue
-// like any other (they still model a dispatch). The returned Job is valid
-// for Cancel only while the burst is pending; the server reuses Job storage
-// after completion.
-func (c *Server) Submit(instructions float64, done func()) *Job {
+// like any other (they still model a dispatch).
+func (c *Server) Submit(instructions float64, done func()) {
 	if instructions < 0 {
 		panic(fmt.Sprintf("cpu: negative burst %v", instructions))
 	}
 	if done == nil {
 		panic("cpu: nil completion callback")
 	}
-	var j *Job
-	if n := len(c.freeJobs); n > 0 {
-		j = c.freeJobs[n-1]
-		c.freeJobs = c.freeJobs[:n-1]
-	} else {
-		j = &Job{}
-	}
-	j.instructions = instructions
-	j.done = done
-	j.state = jobQueued
-	c.queue = append(c.queue, j)
-	if c.current == nil {
+	c.queue = append(c.queue, burst{instructions: instructions, done: done})
+	if !c.busy {
 		c.dispatch()
 	}
-	return j
 }
 
-// Cancel removes a job that has not yet started. It reports whether the job
-// was removed; a running or finished job cannot be cancelled.
-func (c *Server) Cancel(j *Job) bool {
-	if j == nil || j.state != jobQueued {
-		return false
-	}
-	for i, q := range c.queue {
-		if q == j {
-			copy(c.queue[i:], c.queue[i+1:])
-			c.queue[len(c.queue)-1] = nil
-			c.queue = c.queue[:len(c.queue)-1]
-			j.state = jobCancelled
-			j.done = nil
-			c.freeJobs = append(c.freeJobs, j)
-			return true
-		}
-	}
-	return false
-}
-
+// dispatch starts the burst at the head of the queue, if any. The queue is
+// shifted down by copy rather than advanced by a head index, so its backing
+// array never creeps forward and is reused in place.
 func (c *Server) dispatch() {
-	for len(c.queue) > 0 {
-		j := c.queue[0]
-		copy(c.queue, c.queue[1:])
-		c.queue[len(c.queue)-1] = nil
-		c.queue = c.queue[:len(c.queue)-1]
-		if j.state != jobQueued {
-			continue
-		}
-		j.state = jobRunning
-		c.current = j
-		c.busySince = c.disp.Now()
-		c.started++
-		// onFinish is one shared closure over the server; the running job is
-		// identified by c.current, which is stable until it fires.
-		c.disp.Schedule(c.ServiceTime(j.instructions), c.onFinish)
+	if len(c.queue) == 0 {
 		return
 	}
+	b := c.queue[0]
+	n := copy(c.queue, c.queue[1:])
+	c.queue[n] = burst{}
+	c.queue = c.queue[:n]
+	c.busy = true
+	c.done = b.done
+	c.busySince = c.disp.Now()
+	c.disp.Schedule(c.ServiceTime(b.instructions), c.onFinish)
 }
 
 func (c *Server) finish() {
-	j := c.current
-	j.state = jobDone
 	c.busyTime += c.disp.Now() - c.busySince
 	c.completed++
-	c.current = nil
-	done := j.done
-	j.done = nil
-	c.freeJobs = append(c.freeJobs, j)
-	// Dispatch the next job before running the callback so that queue-length
-	// observations made inside the callback see a consistent state.
+	c.busy = false
+	done := c.done
+	c.done = nil
+	// Dispatch the next burst before running the callback so that
+	// queue-length observations made inside the callback see a consistent
+	// state.
 	c.dispatch()
 	done()
 }
@@ -183,21 +128,18 @@ func (c *Server) finish() {
 // one in service. This is the q used by the queue-length routing strategies.
 func (c *Server) QueueLength() int {
 	n := len(c.queue)
-	if c.current != nil {
+	if c.busy {
 		n++
 	}
 	return n
 }
-
-// Busy reports whether a burst is in service.
-func (c *Server) Busy() bool { return c.current != nil }
 
 // BusyTime returns the cumulative time the processor has been serving bursts
 // up to the current simulated instant (including the partially completed
 // burst in service).
 func (c *Server) BusyTime() float64 {
 	t := c.busyTime
-	if c.current != nil {
+	if c.busy {
 		t += c.disp.Now() - c.busySince
 	}
 	return t

@@ -52,8 +52,7 @@ func (s *SimSched) Simulator() *sim.Simulator { return (*sim.Simulator)(s) }
 // Now implements Clock with the simulator's virtual clock.
 func (s *SimSched) Now() float64 { return (*sim.Simulator)(s).Now() }
 
-// Schedule implements Scheduler on the simulator's event queue. The event
-// handle is dropped: core code that needs cancellation keeps its own state.
+// Schedule implements Scheduler on the simulator's event queue.
 func (s *SimSched) Schedule(delay float64, fn func()) {
 	(*sim.Simulator)(s).Schedule(delay, fn)
 }

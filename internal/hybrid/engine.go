@@ -30,7 +30,9 @@ import (
 // drives the run loop — either the single-queue sequential loop (the
 // bit-exact oracle) or the sharded conservative-parallel loop
 // (parallel.go), selected at Run time. Both run modes use the same strategy
-// instances, which is what makes their decision streams bit-identical.
+// instances, which is what makes their decision streams bit-identical, and
+// Run arms the global chains (measurement start, self-check, queue sample,
+// epoch flush) once for either loop through at and every.
 type Engine struct {
 	core
 	strategy routing.Strategy
@@ -189,17 +191,24 @@ func (e *Engine) Run() Result {
 			e.scheduleArrival(i)
 		}
 	}
+	// The global chains, armed once for both run modes. Arming order is the
+	// sequential queue's tie-break among coinciding chain events, and the
+	// barrier priorities replicate it in a sharded run.
+	e.at(e.cfg.Warmup, prioMeasure, e.startMeasurement)
+	if e.cfg.SelfCheck {
+		e.every(10, prioSelfCheck, func(t float64) { e.observeAt(t, obs.Event{Kind: obs.SelfCheck}) })
+	}
+	e.every(1, prioSample, e.sampleQueues)
+	// An epoch boundary drains the site-owned pending batches onto their
+	// uplinks. In a sharded run the workers are parked at the barrier, so the
+	// coordinator posts directly: a message sent from the boundary instant
+	// meets the lookahead bound with equality.
+	if e.cfg.EpochLength > 0 {
+		e.every(e.cfg.EpochLength, epochFlushPrio(e.cfg.EpochLength), func(float64) { e.prop.flushEpoch() })
+	}
 	if e.parallel {
-		e.runSharded()
+		e.group.Run(e.horizon)
 	} else {
-		e.simulator.Schedule(e.cfg.Warmup, e.startMeasurement)
-		if e.cfg.SelfCheck {
-			e.scheduleSelfCheck()
-		}
-		e.scheduleQueueSample()
-		if e.cfg.EpochLength > 0 {
-			e.scheduleEpochFlush()
-		}
 		e.simulator.RunUntil(e.horizon)
 	}
 	if e.cfg.SelfCheck {
@@ -263,9 +272,9 @@ func (e *Engine) startMeasurement() {
 	e.observeAt(e.cfg.Warmup, obs.Event{Kind: obs.MeasureStart})
 }
 
-// sampleQueues is the 1 Hz queue-length observation shared by both run
-// modes; at is the sample instant (every shard clock sits on it in a
-// sharded run).
+// sampleQueues is the 1 Hz queue-length observation; at is the sample
+// instant (every shard clock sits on it in a sharded run, so the queue
+// lengths read are the sequential ones).
 func (e *Engine) sampleQueues(at float64) {
 	total := 0
 	for _, ls := range e.sites {
@@ -278,83 +287,47 @@ func (e *Engine) sampleQueues(at float64) {
 	})
 }
 
-// scheduleQueueSample samples the CPU queue lengths once per simulated
-// second and publishes them on the bus (sequential mode; the sharded loop
-// arms the same chain as barrier events).
-func (e *Engine) scheduleQueueSample() {
-	const interval = 1.0
-	if e.simulator.Now()+interval > e.horizon {
-		return
+// at schedules a global event at instant t: on the single event queue in a
+// sequential run, as a barrier event of priority prio (every shard clock
+// aligned on t) in a sharded one.
+func (e *Engine) at(t float64, prio int, fn func()) {
+	if e.parallel {
+		e.group.ScheduleGlobalAt(t, prio, fn)
+	} else {
+		e.simulator.ScheduleAt(t, fn)
 	}
-	e.simulator.Schedule(interval, func() {
-		e.sampleQueues(e.simulator.Now())
-		e.scheduleQueueSample()
-	})
 }
 
-// scheduleEpochFlush drives the global epoch ticker of the epoch-batched
-// propagation mode (sequential run): every EpochLength seconds, drain each
-// site's pending update batch onto its uplink. Boundary instants are built by
-// repeated addition from zero — the identical floats the sharded chain in
-// parallel.go computes — and the chain is armed last in Run, after the sample
-// chain, so a boundary coinciding with a sample instant flushes after the
-// sample in both run modes.
-func (e *Engine) scheduleEpochFlush() {
-	epoch := e.cfg.EpochLength
-	if e.simulator.Now()+epoch > e.horizon {
-		return
+// every runs fn(t) at t = interval, 2·interval, … up to the horizon. Each
+// instant is built as last+interval, the float a chain rescheduling itself
+// interval seconds after firing computes, and the next event is armed after
+// fn returns so anything fn schedules keeps its place in the FIFO order.
+func (e *Engine) every(interval float64, prio int, fn func(t float64)) {
+	var arm func(last float64)
+	arm = func(last float64) {
+		next := last + interval
+		if next > e.horizon {
+			return
+		}
+		e.at(next, prio, func() {
+			fn(next)
+			arm(next)
+		})
 	}
-	e.simulator.Schedule(epoch, func() {
-		e.prop.flushEpoch()
-		e.scheduleEpochFlush()
-	})
+	arm(0)
 }
 
-func (e *Engine) scheduleSelfCheck() {
-	const interval = 10.0
-	if e.simulator.Now()+interval > e.horizon {
-		return
-	}
-	e.simulator.Schedule(interval, func() {
-		e.observeAt(e.simulator.Now(), obs.Event{Kind: obs.SelfCheck})
-		e.scheduleSelfCheck()
-	})
-}
-
-// generatedTotal sums the per-site admission counters.
-func (e *Engine) generatedTotal() uint64 {
-	var n uint64
+// flowCounts sums the conservation counters: transactions generated and
+// completed, shipped inputs still travelling to the central site (sent minus
+// received), and completion replies still travelling to their origin (sent
+// minus delivered).
+func (e *Engine) flowCounts() (generated, completed, shipping, replying uint64) {
+	var shipped, delivered uint64
 	for _, ls := range e.sites {
-		n += ls.generated
-	}
-	return n
-}
-
-// completedTotal sums the per-site completion counters.
-func (e *Engine) completedTotal() uint64 {
-	var n uint64
-	for _, ls := range e.sites {
-		n += ls.completed
-	}
-	return n
-}
-
-// inFlightShipTotal counts shipped inputs still travelling to the central
-// site: inputs sent minus inputs received.
-func (e *Engine) inFlightShipTotal() uint64 {
-	var sent uint64
-	for _, ls := range e.sites {
-		sent += ls.shipStarted
-	}
-	return sent - e.central.shipArrived
-}
-
-// inFlightReplyTotal counts completion replies still travelling to their
-// origin: replies sent minus replies delivered.
-func (e *Engine) inFlightReplyTotal() uint64 {
-	var delivered uint64
-	for _, ls := range e.sites {
+		generated += ls.generated
+		completed += ls.completed
+		shipped += ls.shipStarted
 		delivered += ls.replyArrived
 	}
-	return e.central.replyStarted - delivered
+	return generated, completed, shipped - e.central.shipArrived, e.central.replyStarted - delivered
 }

@@ -45,10 +45,7 @@ func (e *Engine) checkInvariants() {
 			e.central.running.Len(), e.central.inSystem))
 	}
 	present += uint64(e.central.inSystem)
-	generated := e.generatedTotal()
-	completed := e.completedTotal()
-	shipping := e.inFlightShipTotal()
-	replying := e.inFlightReplyTotal()
+	generated, completed, shipping, replying := e.flowCounts()
 	total := completed + present + shipping + replying
 	if total != generated {
 		panic(fmt.Sprintf("hybrid: conservation violated: generated=%d accounted=%d "+

@@ -24,10 +24,13 @@ package hybrid
 //     edge index into the destination calendars, which order by time. That
 //     reproduces the per-link order, including the same-instant
 //     release-before-reply the commit protocol relies on (DESIGN.md §14.3).
-//  3. Barrier-aligned global events. Measurement start, queue samples, and
-//     self-checks execute with every shard clock advanced to the event's
-//     instant, in a fixed priority order, so clock integrals (CPU busy
-//     time) and cross-partition reads see the sequential state.
+//  3. Barrier-aligned global events. Measurement start, self-checks, queue
+//     samples and epoch flushes are armed once by Engine.Run through
+//     Engine.at and Engine.every, the same arming the sequential loop uses;
+//     here they become Group barrier events, which execute with every shard
+//     clock advanced to the event's instant, in a fixed priority order, so
+//     clock integrals (CPU busy time) and cross-partition reads see the
+//     sequential state.
 //
 // Known tie class: a site-local event and a cross-shard arrival at the
 // exact same float64 instant run in global insertion order on the
@@ -40,7 +43,6 @@ package hybrid
 
 import (
 	"hybriddb/internal/exec"
-	"hybriddb/internal/hybrid/obs"
 	"hybriddb/internal/sim"
 )
 
@@ -129,69 +131,6 @@ func (e *Engine) setupRunMode() {
 	// them coalesce many lookahead windows per round.
 	e.group.SetHub(0)
 	e.network = newShardNet(e.group, sims, shardOf, e.cfg.CommDelay, e.simReceiver())
-}
-
-// runSharded drives the Group: the global measurement/sample/check chains
-// are armed as barrier events with times built by the same repeated
-// addition the sequential chains perform, then the synchronizer runs to the
-// horizon.
-func (e *Engine) runSharded() {
-	e.group.ScheduleGlobalAt(e.cfg.Warmup, prioMeasure, e.startMeasurement)
-	if e.cfg.SelfCheck {
-		e.armSelfCheck(0)
-	}
-	e.armQueueSample(0)
-	if e.cfg.EpochLength > 0 {
-		e.armEpochFlush(0)
-	}
-	e.group.Run(e.horizon)
-}
-
-// armEpochFlush arms the next epoch-boundary flush after instant last as a
-// barrier event: every shard clock sits on the boundary, so the coordinator
-// may drain the site-owned pending batches and post the uplink messages
-// directly (the workers are parked, and a message sent from the boundary
-// instant meets the lookahead bound with equality). Boundary floats are built
-// by the same repeated addition the sequential chain performs.
-func (e *Engine) armEpochFlush(last float64) {
-	next := last + e.cfg.EpochLength
-	if next > e.horizon {
-		return
-	}
-	e.group.ScheduleGlobalAt(next, epochFlushPrio(e.cfg.EpochLength), func() {
-		e.prop.flushEpoch()
-		e.armEpochFlush(next)
-	})
-}
-
-// armSelfCheck arms the next barrier self-check after instant last. The
-// next time is last+10 — the identical float the sequential chain computes
-// by scheduling 10 seconds after firing at last.
-func (e *Engine) armSelfCheck(last float64) {
-	const interval = 10.0
-	next := last + interval
-	if next > e.horizon {
-		return
-	}
-	e.group.ScheduleGlobalAt(next, prioSelfCheck, func() {
-		e.observeAt(next, obs.Event{Kind: obs.SelfCheck})
-		e.armSelfCheck(next)
-	})
-}
-
-// armQueueSample arms the next 1 Hz barrier queue sample after instant
-// last; every shard clock sits on the sample instant when it fires, so the
-// queue lengths read are the sequential ones.
-func (e *Engine) armQueueSample(last float64) {
-	const interval = 1.0
-	next := last + interval
-	if next > e.horizon {
-		return
-	}
-	e.group.ScheduleGlobalAt(next, prioSample, func() {
-		e.sampleQueues(next)
-		e.armQueueSample(next)
-	})
 }
 
 // shardLink is one directed site<->central link of a sharded run. The sent

@@ -35,8 +35,8 @@ func (p propagator) propagate(ls *localSite, txn int64, updates []uint32) {
 		p.buffer(ls, txn, updates, c.cfg.UpdateBatchWindow)
 	case c.cfg.EpochLength > 0:
 		// Epoch-batched (STAR-style) propagation: accumulate only. The
-		// global epoch ticker (engine.go scheduleEpochFlush / parallel.go
-		// armEpochFlush) drains every site's pending batch at each boundary,
+		// global epoch chain (armed in Engine.Run through Engine.every)
+		// drains every site's pending batch at each boundary,
 		// iterating sites in ascending index — the same order the sharded
 		// round merge imposes on same-instant uplink arrivals — so the
 		// simultaneous flushes every boundary produces reach the central

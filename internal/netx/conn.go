@@ -256,6 +256,15 @@ func (c *Conn) Close() error {
 	return nil
 }
 
+// isClosed reports whether the connection has been closed. A Conn is
+// marked closed the moment its read or write side fails, before the
+// goroutine serving it has returned.
+func (c *Conn) isClosed() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.closed
+}
+
 func (c *Conn) closeReason() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -383,6 +392,13 @@ func (cl *Client) sleep(d time.Duration) bool {
 	}
 }
 
+// up reports whether the current connection is live; caller holds cl.mu.
+// A connection that has died is still cl.cur until the dial loop's Serve
+// returns and clears it, and in that window it must count as down.
+func (cl *Client) up() bool {
+	return cl.cur != nil && !cl.cur.isClosed()
+}
+
 // conn returns the live connection, or nil with ErrNotConnected.
 func (cl *Client) conn() (*Conn, error) {
 	cl.mu.Lock()
@@ -390,7 +406,7 @@ func (cl *Client) conn() (*Conn, error) {
 	if cl.stop {
 		return nil, ErrClosed
 	}
-	if cl.cur == nil {
+	if !cl.up() {
 		return nil, ErrNotConnected
 	}
 	return cl.cur, nil
@@ -428,10 +444,10 @@ func (cl *Client) WaitConnected(ctx context.Context) error {
 	}()
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	for cl.cur == nil && !cl.stop && ctx.Err() == nil {
+	for !cl.up() && !cl.stop && ctx.Err() == nil {
 		cl.cond.Wait()
 	}
-	if cl.cur != nil {
+	if cl.up() {
 		return nil
 	}
 	if cl.stop {

@@ -1,8 +1,10 @@
 package netx
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -277,4 +279,51 @@ func TestClientCloseWhileBackingOff(t *testing.T) {
 	if err := cl.Send(MsgSubmit, 0, nil); !errors.Is(err, ErrClosed) {
 		t.Fatalf("send after close: %v", err)
 	}
+}
+
+// FuzzServe drives Conn.Serve's read loop over a net.Pipe with a fuzzed
+// byte stream, where framing meets a live connection. Serve must never
+// panic; its handler must see exactly the frames that re-encode, in order,
+// to the prefix of the stream they were read from; and the stream must end
+// Serve with the connection closed — cleanly (io.EOF) only when every byte
+// formed a whole frame, with a read error at the first malformed or torn
+// frame otherwise.
+func FuzzServe(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srv, cli := net.Pipe()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			cli.Write(data) // fails once Serve gives up and closes its end
+			cli.Close()
+		}()
+
+		c := NewConn(srv, Options{})
+		consumed := 0
+		err := c.Serve(func(_ *Conn, fr Frame) {
+			enc, err := AppendFrame(nil, fr)
+			if err != nil {
+				t.Fatalf("handled %v does not re-encode: %v", fr, err)
+			}
+			if end := consumed + len(enc); end > len(data) || !bytes.Equal(enc, data[consumed:end]) {
+				t.Fatalf("handled %v re-encodes to %x, stream at offset %d is %x", fr, enc, consumed, data[consumed:])
+			}
+			consumed += len(enc)
+		})
+		<-wrote
+
+		if !c.isClosed() {
+			t.Fatalf("Serve returned %v with the connection still open", err)
+		}
+		if sendErr := c.Send(MsgSubmit, 0, nil); sendErr == nil {
+			t.Fatal("Send succeeded on a connection Serve closed")
+		}
+		switch {
+		case err == nil:
+			t.Fatal("Serve returned a nil error")
+		case errors.Is(err, io.EOF) != (consumed == len(data)):
+			t.Fatalf("Serve ended with %v after consuming %d of %d bytes", err, consumed, len(data))
+		}
+		c.Close()
+	})
 }

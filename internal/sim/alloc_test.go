@@ -3,10 +3,9 @@ package sim
 import "testing"
 
 // TestScheduleRunAllocFree guards the kernel's steady-state allocation
-// contract: once the slot slab has reached the high-water population, a full
+// contract: once the heap has reached the high-water population, a full
 // schedule-then-drain cycle performs zero allocations. This pins the 0 B/op
-// of BenchmarkScheduleRun (which regressed to 21–24 B/op when the free list
-// was allowed to grow lazily during Run) so it cannot creep back silently.
+// of BenchmarkScheduleRun so it cannot creep back silently.
 func TestScheduleRunAllocFree(t *testing.T) {
 	const events = 2048
 	s := New()
@@ -17,7 +16,7 @@ func TestScheduleRunAllocFree(t *testing.T) {
 		}
 		s.Run()
 	}
-	cycle() // warm the slab, the heap, and the free list to capacity
+	cycle() // grow the heap to capacity
 	if got := testing.AllocsPerRun(10, cycle); got != 0 {
 		t.Errorf("schedule+run cycle allocates %v times per run, want 0", got)
 	}

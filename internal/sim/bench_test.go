@@ -24,25 +24,6 @@ func BenchmarkScheduleStep(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleCancel measures the cancellation path: every scheduled
-// event is removed from the middle of a standing window.
-func BenchmarkScheduleCancel(b *testing.B) {
-	s := New()
-	action := func() {}
-	const window = 256
-	for i := 0; i < window; i++ {
-		s.Schedule(float64(i%97)+1, action)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e := s.Schedule(float64(i%89)+1, action)
-		if !s.Cancel(e) {
-			b.Fatal("pending event failed to cancel")
-		}
-	}
-}
-
 // holdSizes are the standing populations of the classic hold model. The
 // hybrid engine keeps roughly one pending event per busy resource, so the
 // small sizes are the realistic regime and the large one a high-density
@@ -67,7 +48,7 @@ func holdIncrements(n int) []Time {
 	return incs
 }
 
-// BenchmarkHoldHeap runs the hold model on the Simulator's slab/4-ary-heap
+// BenchmarkHoldHeap runs the hold model on the Simulator's 4-ary-heap
 // kernel: pop the minimum, reschedule at popped-time + exp(1).
 func BenchmarkHoldHeap(b *testing.B) {
 	incs := holdIncrements(1 << 16)

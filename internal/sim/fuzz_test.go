@@ -4,20 +4,21 @@ import (
 	"testing"
 )
 
-// FuzzHeap drives the indexed 4-ary heap against the sorted-slice reference
-// queue with an operation stream decoded from fuzz data. Each byte is one
-// operation: schedule with a delay derived from the byte, cancel a live
-// event selected by the byte, or step. The two implementations must agree
-// on every observable at every step — fired identity, clock, Cancel
-// outcome, pending count — exactly as in TestHeapMatchesReferenceQueue,
-// but with the interleaving chosen by the fuzzer instead of a fixed RNG.
+// FuzzHeap drives the 4-ary heap against the sorted-slice reference queue
+// with an operation stream decoded from fuzz data. Each byte is one
+// operation: schedule with a delay derived from the byte (0x00–0x7f),
+// schedule at the current instant behind whatever is already pending there
+// (0x80–0xbf), or step (0xc0–0xff). The two implementations must agree on
+// every observable at every step — fired identity, clock, pending count —
+// exactly as in TestHeapMatchesReferenceQueue, but with the interleaving
+// chosen by the fuzzer instead of a fixed RNG.
 func FuzzHeap(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x40, 0x80, 0xc0, 0xff})
 	// Schedule a burst at colliding times, then drain: exercises FIFO
 	// sequence ordering among equal timestamps.
 	f.Add([]byte{0x10, 0x10, 0x10, 0x10, 0xf0, 0xf0, 0xf0, 0xf0})
-	// Interleave schedules and cancels.
+	// Interleave future schedules with same-instant ones between steps.
 	f.Add([]byte{0x05, 0x15, 0x85, 0x25, 0x95, 0xf1, 0x35, 0x8f})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -25,7 +26,6 @@ func FuzzHeap(f *testing.F) {
 		ref := &refQueue{}
 		nextID := 0
 		seq := uint64(0)
-		live := make(map[int]Event)
 		firedID := -1
 
 		step := func(op int) {
@@ -44,38 +44,21 @@ func FuzzHeap(f *testing.F) {
 			if s.Now() != want.at {
 				t.Fatalf("op %d: clock %v, reference time %v", op, s.Now(), want.at)
 			}
-			delete(live, want.id)
 		}
 
 		for op, b := range data {
-			switch {
-			case b < 0x80: // schedule; low 7 bits pick the delay
-				delay := float64(b&0x7f) * 0.25
+			if b >= 0xc0 {
+				step(op)
+			} else {
+				delay := 0.0 // 0x80–0xbf: the current instant
+				if b < 0x80 {
+					delay = float64(b&0x7f) * 0.25
+				}
 				id := nextID
 				nextID++
-				fid := id
-				ev := s.Schedule(delay, func() { firedID = fid })
+				s.Schedule(delay, func() { firedID = id })
 				seq++
-				ref.push(ev.At(), seq, id)
-				live[id] = ev
-			case b < 0xc0: // cancel the live event whose id ≡ b (mod live size)
-				if len(live) == 0 {
-					continue
-				}
-				// Deterministic pick without sorting allocations: scan up
-				// from b's residue until a live id is found.
-				id := int(b) % nextID
-				for !liveHas(live, id) {
-					id = (id + 1) % nextID
-				}
-				got := s.Cancel(live[id])
-				want := ref.remove(id)
-				if got != want {
-					t.Fatalf("op %d: Cancel(%d) = %v, reference = %v", op, id, got, want)
-				}
-				delete(live, id)
-			default:
-				step(op)
+				ref.push(s.Now()+delay, seq, id)
 			}
 			if s.Pending() != len(ref.entries) {
 				t.Fatalf("op %d: Pending = %d, reference holds %d", op, s.Pending(), len(ref.entries))
@@ -87,9 +70,4 @@ func FuzzHeap(f *testing.F) {
 			step(len(data))
 		}
 	})
-}
-
-func liveHas(live map[int]Event, id int) bool {
-	_, ok := live[id]
-	return ok
 }

@@ -38,22 +38,13 @@ func (q *refQueue) pop() (refEntry, bool) {
 	return e, true
 }
 
-func (q *refQueue) remove(id int) bool {
-	for i, e := range q.entries {
-		if e.id == id {
-			q.entries = append(q.entries[:i], q.entries[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
 // TestHeapMatchesReferenceQueue drives long random interleavings of
-// Schedule, Cancel, and Step against the reference queue and demands exact
-// agreement at every step: same Pending count, same fired identity, same
-// fired time, same Cancel outcome. This is the ordering oracle for the
-// indexed 4-ary heap and its slot recycling — any divergence in sift logic,
-// index maintenance, or generation handling shows up as a mismatch.
+// Schedule and Step against the reference queue and demands exact agreement
+// at every step: same Pending count, same fired identity, same fired time.
+// A share of the schedules land on the current instant, behind events
+// already pending there, so same-instant FIFO ties are exercised at every
+// heap depth. This is the ordering oracle for the 4-ary heap — any
+// divergence in the sift logic shows up as a mismatch.
 func TestHeapMatchesReferenceQueue(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -61,37 +52,23 @@ func TestHeapMatchesReferenceQueue(t *testing.T) {
 		ref := &refQueue{}
 
 		nextID := 0
-		live := make(map[int]Event) // pending events by test identity
+		seq := uint64(0)
 		firedID := -1
 		makeAction := func(id int) func() { return func() { firedID = id } }
+		schedule := func(delay float64) {
+			id := nextID
+			nextID++
+			s.Schedule(delay, makeAction(id))
+			seq++ // mirrors the simulator's FIFO sequence numbers exactly
+			ref.push(s.Now()+delay, seq, id)
+		}
 
 		for op := 0; op < 2000; op++ {
 			switch r := rng.Intn(10); {
 			case r < 5: // schedule
-				delay := float64(rng.Intn(50)) * 0.25
-				id := nextID
-				nextID++
-				ev := s.Schedule(delay, makeAction(id))
-				// op is strictly increasing across schedule calls, so it
-				// mirrors the simulator's FIFO sequence numbers exactly.
-				ref.push(ev.At(), uint64(op)+1, id)
-				live[id] = ev
-			case r < 7: // cancel a random live event (or a stale handle)
-				if len(live) == 0 {
-					continue
-				}
-				ids := make([]int, 0, len(live))
-				for id := range live {
-					ids = append(ids, id)
-				}
-				sort.Ints(ids)
-				id := ids[rng.Intn(len(ids))]
-				got := s.Cancel(live[id])
-				want := ref.remove(id)
-				if got != want {
-					t.Fatalf("trial %d op %d: Cancel(%d) = %v, reference = %v", trial, op, id, got, want)
-				}
-				delete(live, id)
+				schedule(float64(rng.Intn(50)) * 0.25)
+			case r < 7: // schedule at the current instant
+				schedule(0)
 			default: // step
 				firedID = -1
 				stepped := s.Step()
@@ -108,7 +85,6 @@ func TestHeapMatchesReferenceQueue(t *testing.T) {
 				if s.Now() != want.at {
 					t.Fatalf("trial %d op %d: clock %v, reference time %v", trial, op, s.Now(), want.at)
 				}
-				delete(live, want.id)
 			}
 			if s.Pending() != len(ref.entries) {
 				t.Fatalf("trial %d op %d: Pending = %d, reference holds %d", trial, op, s.Pending(), len(ref.entries))
@@ -136,58 +112,13 @@ func TestHeapMatchesReferenceQueue(t *testing.T) {
 	}
 }
 
-// TestStaleHandleDetected pins the generation-counter contract: once an
-// event fires and its slot is recycled by a newer event, cancelling the old
-// handle reports false and leaves the new event untouched.
-func TestStaleHandleDetected(t *testing.T) {
-	s := New()
-	aRan, bRan := false, false
-	stale := s.Schedule(1, func() { aRan = true })
-	s.RunUntil(1)
-	if !aRan {
-		t.Fatal("first event did not fire")
-	}
-	// The freed slot is recycled LIFO, so this reuses A's storage.
-	fresh := s.Schedule(1, func() { bRan = true })
-	if s.Cancel(stale) {
-		t.Fatal("Cancel of a stale handle returned true")
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("stale Cancel disturbed the queue: Pending = %d", s.Pending())
-	}
-	s.Run()
-	if !bRan {
-		t.Fatal("recycled-slot event did not fire")
-	}
-	if s.Cancel(fresh) {
-		t.Fatal("Cancel of a fired event returned true")
-	}
-}
-
-// TestCancelHandleSurvivesRecycleChain checks staleness across several
-// recycle generations of the same slot.
-func TestCancelHandleSurvivesRecycleChain(t *testing.T) {
-	s := New()
-	var handles []Event
-	for i := 0; i < 5; i++ {
-		h := s.Schedule(0, func() {})
-		handles = append(handles, h)
-		s.Run() // fire it; the slot goes back on the free list
-	}
-	for i, h := range handles {
-		if s.Cancel(h) {
-			t.Fatalf("handle %d from a recycled slot cancelled something", i)
-		}
-	}
-}
-
-// TestSteadyStateZeroAllocs pins the headline property: once the slab, free
-// list, and heap have grown to the working-set size, Schedule/Step churn
-// performs no heap allocations.
+// TestSteadyStateZeroAllocs pins the headline property: once the heap has
+// grown to the working-set size, Schedule/Run churn performs no heap
+// allocations.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	s := New()
 	action := func() {}
-	// Warm the pools past the working set.
+	// Grow the heap past the working set.
 	for i := 0; i < 64; i++ {
 		s.Schedule(float64(i%7), action)
 	}
@@ -200,32 +131,5 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state Schedule/Run allocated %.1f times per round, want 0", avg)
-	}
-}
-
-// TestCancelSteadyStateZeroAllocs extends the zero-alloc pin to the
-// Schedule/Cancel path.
-func TestCancelSteadyStateZeroAllocs(t *testing.T) {
-	s := New()
-	action := func() {}
-	events := make([]Event, 32)
-	for i := range events {
-		events[i] = s.Schedule(float64(i), action)
-	}
-	for _, e := range events {
-		s.Cancel(e)
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		for i := range events {
-			events[i] = s.Schedule(float64(i%9), action)
-		}
-		for _, e := range events {
-			if !s.Cancel(e) {
-				t.Fatal("pending event failed to cancel")
-			}
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state Schedule/Cancel allocated %.1f times per round, want 0", avg)
 	}
 }

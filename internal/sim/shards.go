@@ -191,12 +191,6 @@ func (g *Group) SetHub(hub int) {
 	g.hub = hub
 }
 
-// Shards returns the number of shards.
-func (g *Group) Shards() int { return len(g.shards) }
-
-// Shard returns the i-th shard simulator.
-func (g *Group) Shard(i int) *Simulator { return g.shards[i] }
-
 // Post sends a cross-shard message: fn executes on shard to at time at.
 // It must be called from within an event executing on shard from (during a
 // round), and at must respect the lookahead: at >= from.Now() + lookahead.

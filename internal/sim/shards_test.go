@@ -349,7 +349,7 @@ func TestGroupWatchdogQuietOnProgress(t *testing.T) {
 		if count%2 == 1 {
 			from, to, edge = 1, 0, 1
 		}
-		at := g.Shard(from).Now() + 1.5
+		at := shards[from].Now() + 1.5
 		if at < 50 {
 			g.Post(from, to, edge, at, ping)
 		}

@@ -4,16 +4,13 @@
 // fire in the order they were scheduled (FIFO tie-break), which keeps
 // simulations reproducible.
 //
-// The kernel is allocation-free in steady state: event storage lives in a
-// slab of slots recycled through a free list whose capacity is grown in
-// lock-step with the slab (so pops never re-grow it mid-run), and the
-// pending set is an indexed 4-ary min-heap with hand-inlined
-// sift-up/sift-down (no container/heap, no interface boxing). Each heap
-// entry carries its (at, seq) ordering key inline, so sift compares walk
-// the contiguous heap array without chasing slot indices into the slab —
-// the children of a 4-ary node share a cache line. Event handles carry a
-// generation counter so a stale handle whose slot has been recycled is
-// detected by Cancel rather than corrupting the queue.
+// The pending set is a 4-ary min-heap of (at, seq, action) entries with
+// hand-inlined sift-up/sift-down (no container/heap, no interface boxing).
+// The ordering key sits inline in each entry, so sifts walk the contiguous
+// heap array and the four children of a node share a cache line. Scheduling
+// returns no handle: nothing in the protocol cancels an event, so the kernel
+// keeps no per-event storage beyond its heap entry and is allocation-free
+// once the heap has grown to its high-water size.
 package sim
 
 import (
@@ -23,49 +20,19 @@ import (
 // Time is a simulated instant, in seconds since the start of the run.
 type Time = float64
 
-// Event is a compact handle to a scheduled callback, returned by the
-// scheduling methods so callers can cancel it. It is a value (slot index +
-// generation), not a pointer: the kernel recycles slot storage across
-// events, and the generation lets Cancel tell a live event from a stale
-// handle whose slot now belongs to a different event. The zero Event is
-// invalid and never matches a live event.
-type Event struct {
-	slot int32
-	gen  uint32
-	at   Time
-}
-
-// At reports the instant this event fires (or fired).
-func (e Event) At() Time { return e.at }
-
-// slot is the pooled storage for one scheduled event. pos is the slot's
-// index in the heap, -1 while the slot is free. gen starts at 1 and is
-// incremented every time the slot is released, invalidating outstanding
-// handles. The (at, seq) ordering key lives in the heap entry, not here:
-// sifts only read the heap array.
-type slot struct {
-	action func()
-	gen    uint32
-	pos    int32
-}
-
 // heapEnt is one pending event in the 4-ary min-heap, ordered by (at, seq).
 // seq is unique, giving a strict total order and exact FIFO tie-breaking.
 type heapEnt struct {
-	at   Time
-	seq  uint64
-	slot int32
+	at     Time
+	seq    uint64
+	action func()
 }
 
 // Simulator owns the event list and the simulated clock.
 type Simulator struct {
-	now    Time
-	seq    uint64
-	slots  []slot
-	free   []int32   // recycled slot indices, LIFO
-	heap   []heapEnt // 4-ary min-heap ordered by (at, seq)
-	count  uint64    // events executed
-	halted bool
+	now  Time
+	seq  uint64
+	heap []heapEnt // 4-ary min-heap ordered by (at, seq)
 }
 
 // New returns a Simulator with the clock at zero and an empty event list.
@@ -76,25 +43,22 @@ func New() *Simulator {
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Executed returns the number of events executed so far.
-func (s *Simulator) Executed() uint64 { return s.count }
-
 // Pending returns the number of events currently scheduled.
 func (s *Simulator) Pending() int { return len(s.heap) }
 
 // Schedule runs action after delay seconds of simulated time. A negative
 // delay panics: it would mean travelling into the past, which is always a
 // logic error in the caller.
-func (s *Simulator) Schedule(delay Time, action func()) Event {
+func (s *Simulator) Schedule(delay Time, action func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
-	return s.ScheduleAt(s.now+delay, action)
+	s.ScheduleAt(s.now+delay, action)
 }
 
 // ScheduleAt runs action at absolute time at. Scheduling before the current
 // time panics.
-func (s *Simulator) ScheduleAt(at Time, action func()) Event {
+func (s *Simulator) ScheduleAt(at Time, action func()) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
@@ -102,43 +66,8 @@ func (s *Simulator) ScheduleAt(at Time, action func()) Event {
 		panic("sim: nil action")
 	}
 	s.seq++
-	var idx int32
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		s.slots = append(s.slots, slot{gen: 1, pos: -1})
-		idx = int32(len(s.slots) - 1)
-		// Grow the free list's capacity in lock-step with the slab: release
-		// pushes at most one index per slot, so matching capacities here
-		// means release never allocates — the pop path stays 0 B/op even
-		// when the free list fills while a long Run drains the heap.
-		if cap(s.free) < cap(s.slots) {
-			free := make([]int32, len(s.free), cap(s.slots))
-			copy(free, s.free)
-			s.free = free
-		}
-	}
-	sl := &s.slots[idx]
-	sl.action = action
-	s.heap = append(s.heap, heapEnt{at: at, seq: s.seq, slot: idx})
+	s.heap = append(s.heap, heapEnt{at: at, seq: s.seq, action: action})
 	s.siftUp(len(s.heap) - 1)
-	return Event{slot: idx, gen: sl.gen, at: at}
-}
-
-// Cancel removes a pending event. Cancelling an event that already fired,
-// was already cancelled, or whose slot has since been recycled for a newer
-// event (stale handle: generation mismatch) is a no-op and returns false.
-func (s *Simulator) Cancel(e Event) bool {
-	if e.gen == 0 || int(e.slot) >= len(s.slots) {
-		return false
-	}
-	sl := &s.slots[e.slot]
-	if sl.gen != e.gen || sl.pos < 0 {
-		return false
-	}
-	s.removeAt(int(sl.pos))
-	return true
 }
 
 // Step executes the single next event, if any, and reports whether one ran.
@@ -148,30 +77,26 @@ func (s *Simulator) Step() bool {
 	}
 	top := s.heap[0]
 	s.now = top.at
-	s.count++
-	action := s.slots[top.slot].action
 	n := len(s.heap) - 1
 	last := s.heap[n]
+	s.heap[n] = heapEnt{} // drop the action reference held past the length
 	s.heap = s.heap[:n]
 	if n > 0 {
 		s.heap[0] = last
-		s.slots[last.slot].pos = 0
 		s.siftDown(0)
 	}
-	s.release(top.slot)
-	action()
+	top.action()
 	return true
 }
 
 // RunUntil executes events in time order until the clock would pass horizon
-// or the event list empties or Halt is called. The clock is left at
-// min(horizon, time of last executed event); events at exactly horizon run.
+// or the event list empties, then moves the clock up to horizon if it is
+// behind it; events at exactly horizon run.
 func (s *Simulator) RunUntil(horizon Time) {
-	s.halted = false
-	for !s.halted && len(s.heap) > 0 && s.heap[0].at <= horizon {
+	for len(s.heap) > 0 && s.heap[0].at <= horizon {
 		s.Step()
 	}
-	if s.now < horizon && !s.halted {
+	if s.now < horizon {
 		s.now = horizon
 	}
 }
@@ -187,13 +112,12 @@ func (s *Simulator) Peek() (Time, bool) {
 }
 
 // RunBefore executes events strictly earlier than bound, in time order,
-// until none remain below it or Halt is called. Unlike RunUntil the clock is
-// not advanced to the bound: it stays at the last executed event, so a
-// subsequent AdvanceTo or RunBefore with a larger bound continues cleanly.
-// This is the per-round shard execution primitive of the Group synchronizer.
+// until none remain below it. Unlike RunUntil the clock is not advanced to
+// the bound: it stays at the last executed event, so a subsequent AdvanceTo
+// or RunBefore with a larger bound continues cleanly. This is the per-round
+// shard execution primitive of the Group synchronizer.
 func (s *Simulator) RunBefore(bound Time) {
-	s.halted = false
-	for !s.halted && len(s.heap) > 0 && s.heap[0].at < bound {
+	for len(s.heap) > 0 && s.heap[0].at < bound {
 		s.Step()
 	}
 }
@@ -214,70 +138,40 @@ func (s *Simulator) AdvanceTo(t Time) {
 	s.now = t
 }
 
-// Run executes events until none remain or Halt is called.
+// Run executes events until none remain.
 func (s *Simulator) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 }
 
-// Halt stops the innermost Run/RunUntil after the current event returns.
-func (s *Simulator) Halt() { s.halted = true }
-
-// release returns a slot to the free list, bumping its generation so
-// outstanding handles to the old event go stale.
-func (s *Simulator) release(idx int32) {
-	sl := &s.slots[idx]
-	sl.action = nil
-	sl.pos = -1
-	sl.gen++
-	s.free = append(s.free, idx)
-}
-
-// removeAt deletes the heap element at position i and releases its slot.
-func (s *Simulator) removeAt(i int) {
-	h := s.heap
-	n := len(h) - 1
-	ent := h[i]
-	last := h[n]
-	s.heap = h[:n]
-	if i < n {
-		h[i] = last
-		s.slots[last.slot].pos = int32(i)
-		s.siftDown(i)
-		if s.slots[last.slot].pos == int32(i) {
-			s.siftUp(i)
-		}
-	}
-	s.release(ent.slot)
+// less orders heap entries by (at, seq): seq is unique, giving a strict
+// total order and therefore exact FIFO tie-breaking regardless of heap shape.
+func less(a, b *heapEnt) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // siftUp restores heap order upward from position i. The element is lifted
 // as a hole while ancestors shift down, so each level costs one compare and
-// at most one move. Order is (at, seq): seq is unique, giving a strict total
-// order and therefore exact FIFO tie-breaking regardless of heap shape.
+// at most one move.
 func (s *Simulator) siftUp(i int) {
 	h := s.heap
 	e := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		pe := h[p]
-		if pe.at < e.at || (pe.at == e.at && pe.seq < e.seq) {
+		if less(&h[p], &e) {
 			break
 		}
-		h[i] = pe
-		s.slots[pe.slot].pos = int32(i)
+		h[i] = h[p]
 		i = p
 	}
 	h[i] = e
-	s.slots[e.slot].pos = int32(i)
 }
 
 // siftDown restores heap order downward from position i, picking the least
 // of up to four children per level. A 4-ary heap halves the tree depth of a
 // binary heap, and with the ordering keys inline in the entries the four
 // children sit in adjacent array words — every level is one or two cache
-// lines of the heap itself, with no dependent loads into the slot slab.
+// lines of the heap itself.
 func (s *Simulator) siftDown(i int) {
 	h := s.heap
 	n := len(h)
@@ -292,20 +186,16 @@ func (s *Simulator) siftDown(i int) {
 			end = n
 		}
 		m := c
-		me := h[c]
 		for k := c + 1; k < end; k++ {
-			ke := h[k]
-			if ke.at < me.at || (ke.at == me.at && ke.seq < me.seq) {
-				m, me = k, ke
+			if less(&h[k], &h[m]) {
+				m = k
 			}
 		}
-		if e.at < me.at || (e.at == me.at && e.seq < me.seq) {
+		if less(&e, &h[m]) {
 			break
 		}
-		h[i] = me
-		s.slots[me.slot].pos = int32(i)
+		h[i] = h[m]
 		i = m
 	}
 	h[i] = e
-	s.slots[e.slot].pos = int32(i)
 }

@@ -90,72 +90,6 @@ func TestRunUntilAdvancesClockWithNoEvents(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	s := New()
-	ran := false
-	e := s.Schedule(1, func() { ran = true })
-	if !s.Cancel(e) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(e) {
-		t.Fatal("second Cancel returned true")
-	}
-	s.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-}
-
-func TestCancelZeroEvent(t *testing.T) {
-	s := New()
-	if s.Cancel(Event{}) {
-		t.Fatal("Cancel of the zero Event returned true")
-	}
-}
-
-func TestCancelMiddleOfQueue(t *testing.T) {
-	s := New()
-	var order []int
-	var events []Event
-	for i := 0; i < 5; i++ {
-		i := i
-		events = append(events, s.Schedule(float64(i+1), func() { order = append(order, i) }))
-	}
-	s.Cancel(events[2])
-	s.Run()
-	want := []int{0, 1, 3, 4}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestHalt(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.Schedule(float64(i), func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if count != 3 {
-		t.Fatalf("executed %d events after Halt, want 3", count)
-	}
-	// Run again resumes.
-	s.Run()
-	if count != 10 {
-		t.Fatalf("executed %d events total, want 10", count)
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -184,17 +118,6 @@ func TestNilActionPanics(t *testing.T) {
 		}
 	}()
 	New().Schedule(1, nil)
-}
-
-func TestExecutedCount(t *testing.T) {
-	s := New()
-	for i := 0; i < 7; i++ {
-		s.Schedule(float64(i), func() {})
-	}
-	s.Run()
-	if s.Executed() != 7 {
-		t.Fatalf("Executed = %d, want 7", s.Executed())
-	}
 }
 
 // TestQuickHeapOrdering checks, against a reference sort, that an arbitrary
@@ -240,108 +163,4 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	s.Run()
-}
-
-// TestCancelFiredEvent checks that cancelling an event that already fired
-// reports false and does not disturb the queue.
-func TestCancelFiredEvent(t *testing.T) {
-	s := New()
-	ran := false
-	e := s.Schedule(1, func() { ran = true })
-	later := false
-	s.Schedule(2, func() { later = true })
-	s.RunUntil(1)
-	if !ran {
-		t.Fatal("event did not fire")
-	}
-	if s.Cancel(e) {
-		t.Fatal("Cancel of a fired event returned true")
-	}
-	s.Run()
-	if !later {
-		t.Fatal("cancelling a fired event disturbed a pending one")
-	}
-}
-
-// TestHaltStopsRunUntil checks Halt ends RunUntil after the current event,
-// leaving later pre-horizon events pending and the clock at the halt point.
-func TestHaltStopsRunUntil(t *testing.T) {
-	s := New()
-	count := 0
-	for i := 0; i < 10; i++ {
-		s.Schedule(float64(i+1), func() {
-			count++
-			if count == 3 {
-				s.Halt()
-			}
-		})
-	}
-	s.RunUntil(100)
-	if count != 3 {
-		t.Fatalf("executed %d events after Halt, want 3", count)
-	}
-	if s.Now() != 3 {
-		t.Fatalf("clock = %v after halt at t=3", s.Now())
-	}
-	if s.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", s.Pending())
-	}
-	// A later RunUntil resumes where the halt left off.
-	s.RunUntil(100)
-	if count != 10 {
-		t.Fatalf("executed %d events total, want 10", count)
-	}
-}
-
-// TestQuickCancelProperties drives random schedule/cancel interleavings:
-// a pending event cancels exactly once, cancelled events never fire, and
-// surviving events still fire in nondecreasing (time, seq) order.
-func TestQuickCancelProperties(t *testing.T) {
-	f := func(raw []uint16, mask uint32) bool {
-		s := New()
-		type rec struct {
-			at  float64
-			seq int
-		}
-		var fired []rec
-		events := make([]Event, len(raw))
-		for i, r := range raw {
-			d := float64(r % 50)
-			i, d := i, d
-			events[i] = s.Schedule(d, func() { fired = append(fired, rec{at: d, seq: i}) })
-		}
-		cancelled := make(map[int]bool)
-		for i := range events {
-			if mask&(1<<(uint(i)%32)) != 0 && i%3 == 0 {
-				if !s.Cancel(events[i]) {
-					return false // pending event must cancel
-				}
-				if s.Cancel(events[i]) {
-					return false // double cancel must report false
-				}
-				cancelled[i] = true
-			}
-		}
-		s.Run()
-		if len(fired)+len(cancelled) != len(raw) {
-			return false
-		}
-		for _, f := range fired {
-			if cancelled[f.seq] {
-				return false // cancelled event fired
-			}
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i].at < fired[i-1].at {
-				return false
-			}
-			if fired[i].at == fired[i-1].at && fired[i].seq < fired[i-1].seq {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
 }
